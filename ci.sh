@@ -10,6 +10,29 @@ cargo fmt --all --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Environment hygiene (see docs/ROBUSTNESS.md): the PSA_* environment
+# is read once, at binary entry, by RunnerOptions::from_env, and lives in
+# an Executor from then on. No code may mutate the process environment,
+# and no other code may read it. perfbench/ is the frozen benchmark
+# harness with its own entry point and is not scanned.
+echo "== environment hygiene (one read, no mutation) =="
+ENV_DIRS=(crates src tests examples)
+if grep -rnE 'env::(set_var|remove_var)' --include='*.rs' "${ENV_DIRS[@]}"; then
+  echo "the process environment is mutated above; set RunnerOptions fields instead"
+  exit 1
+fi
+ENV_READS="$(find "${ENV_DIRS[@]}" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { inside = 0 }
+  FILENAME == "crates/experiments/src/runner.rs" && /pub fn from_env\(\)/ { inside = 1 }
+  /env::var/ && !inside { print FILENAME ":" FNR ": " $0 }
+  inside && /^    }$/ { inside = 0 }
+')"
+if [ -n "$ENV_READS" ]; then
+  echo "$ENV_READS"
+  echo "the environment is read above, outside RunnerOptions::from_env"
+  exit 1
+fi
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 

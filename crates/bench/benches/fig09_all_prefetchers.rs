@@ -1,11 +1,11 @@
 //! Figure 9: per-suite geomeans for all four prefetchers.
 
-use psa_experiments::{fig09, Settings};
+use psa_experiments::fig09;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Figure 9", &settings);
-    let (text, doc) = fig09::report(&settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Figure 9", &exec);
+    let (text, doc) = fig09::report(&exec);
     println!("{text}");
-    psa_bench::emit_json("fig09", &doc);
+    psa_bench::emit_json(&exec, "fig09", &doc);
 }

@@ -1,11 +1,11 @@
 //! Figure 10: sources of improvement (latency, coverage, accuracy).
 
-use psa_experiments::{fig10, Settings};
+use psa_experiments::fig10;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Figure 10", &settings);
-    let (text, doc) = fig10::report(&settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Figure 10", &exec);
+    let (text, doc) = fig10::report(&exec);
     println!("{text}");
-    psa_bench::emit_json("fig10", &doc);
+    psa_bench::emit_json(&exec, "fig10", &doc);
 }

@@ -1,11 +1,11 @@
 //! Figure 12: constrained evaluation (MSHR / LLC / DRAM sweeps).
 
-use psa_experiments::{fig12, Settings};
+use psa_experiments::fig12;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Figure 12", &settings);
-    let (text, doc) = fig12::report(&settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Figure 12", &exec);
+    let (text, doc) = fig12::report(&exec);
     println!("{text}");
-    psa_bench::emit_json("fig12", &doc);
+    psa_bench::emit_json(&exec, "fig12", &doc);
 }

@@ -1,11 +1,11 @@
 //! Figure 13: comparison with state-of-the-art L1D prefetching.
 
-use psa_experiments::{fig13, Settings};
+use psa_experiments::fig13;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Figure 13", &settings);
-    let (text, doc) = fig13::report(&settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Figure 13", &exec);
+    let (text, doc) = fig13::report(&exec);
     println!("{text}");
-    psa_bench::emit_json("fig13", &doc);
+    psa_bench::emit_json(&exec, "fig13", &doc);
 }

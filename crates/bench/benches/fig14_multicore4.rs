@@ -1,15 +1,15 @@
 //! Figure 14: 4-core weighted speedups over random mixes.
 
-use psa_experiments::{fig1415, Settings};
+use psa_experiments::fig1415;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Figure 14 (4-core)", &settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Figure 14 (4-core)", &exec);
     println!(
         "mixes: {} (PSA_MIXES to scale; the paper uses 100)\n",
-        settings.mixes()
+        exec.mixes()
     );
-    let (text, doc) = fig1415::report(&settings, 4);
+    let (text, doc) = fig1415::report(&exec, 4);
     println!("{text}");
-    psa_bench::emit_json("fig14", &doc);
+    psa_bench::emit_json(&exec, "fig14", &doc);
 }

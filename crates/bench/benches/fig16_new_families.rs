@@ -1,11 +1,11 @@
 //! Figure 16: Pangloss and DSPatch vs SPP across the PSA policy matrix.
 
-use psa_experiments::{fig16, Settings};
+use psa_experiments::fig16;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Figure 16", &settings);
-    let (text, doc) = fig16::report(&settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Figure 16", &exec);
+    let (text, doc) = fig16::report(&exec);
     println!("{text}");
-    psa_bench::emit_json("fig16", &doc);
+    psa_bench::emit_json(&exec, "fig16", &doc);
 }

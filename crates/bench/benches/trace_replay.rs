@@ -1,12 +1,12 @@
 //! Trace replay: the SPP ladder over a streamed `.psatrace` recording
 //! (the committed sample fixture, or `PSA_TRACE_FILE`).
 
-use psa_experiments::{trace_replay, Settings};
+use psa_experiments::trace_replay;
 
 fn main() {
-    let settings = Settings::default();
-    psa_bench::banner("Trace replay", &settings);
-    let (text, doc) = trace_replay::report(&settings);
+    let exec = psa_bench::executor();
+    psa_bench::banner("Trace replay", &exec);
+    let (text, doc) = trace_replay::report(&exec);
     println!("{text}");
-    psa_bench::emit_json("trace_replay", &doc);
+    psa_bench::emit_json(&exec, "trace_replay", &doc);
 }

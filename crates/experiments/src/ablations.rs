@@ -9,7 +9,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, System};
 
 use crate::ckpt;
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// Geomean speedup of SPP-PSA-SD over SPP original for one SD shape.
 #[derive(Debug, Clone, Copy)]
@@ -31,27 +31,28 @@ pub fn sweep_shapes() -> Vec<(usize, u32)> {
 }
 
 /// Run the sweep.
-pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
+pub fn collect(exec: &Executor) -> Vec<AblationPoint> {
     let kind = PrefetcherKind::Spp;
-    let mut cache = RunCache::new();
-    let workloads = settings.workloads();
+    let mut cache = RunCache::new(exec, exec.config);
+    let workloads = exec.workloads();
     let base_jobs: Vec<_> = workloads
         .iter()
         .map(|&w| (w, Variant::Pref(kind, PageSizePolicy::Original)))
         .collect();
-    cache.run_batch(settings.config, &base_jobs);
+    cache.run_batch(&base_jobs);
     let base = Variant::Pref(kind, PageSizePolicy::Original);
     sweep_shapes()
         .into_iter()
         .map(|(dedicated_sets, csel_bits)| {
             let ipcs = runner::parallel_map_isolated(
+                exec,
                 &workloads,
                 |&w| runner::JobSpec {
                     workload: w.name,
                     label: format!("ablation/sd-{dedicated_sets}-{csel_bits}"),
                 },
                 |&w, env| {
-                    let mut config = env.config(settings.config);
+                    let mut config = env.config(exec.config);
                     config.sd = SdConfig {
                         dedicated_sets,
                         csel_bits,
@@ -62,6 +63,7 @@ pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
                     let build =
                         move || System::try_single_core(config, w, kind, PageSizePolicy::PsaSd);
                     Ok(ckpt::warm_via_checkpoint(
+                        exec,
                         &build,
                         &Variant::Pref(kind, PageSizePolicy::PsaSd).label(),
                     )?
@@ -79,7 +81,7 @@ pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
                     if !cache.completed(w, base) {
                         return None;
                     }
-                    let orig = cache.run(settings.config, w, base).ipc();
+                    let orig = cache.run(w, base).ipc();
                     Some(if orig > 0.0 { ipc / orig } else { 1.0 })
                 })
                 .collect();
@@ -93,13 +95,13 @@ pub fn collect(settings: &Settings) -> Vec<AblationPoint> {
 }
 
 /// Render the ablation.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_ablations.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let points = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let points = collect(exec);
     let json_rows = Json::Arr(
         points
             .iter()
@@ -115,7 +117,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let doc = runner::doc(
         "ablations",
         "Set-Dueling shape sweep (paper fixes 32 sets / 3 bits empirically)",
-        settings,
+        exec,
         json_rows,
     );
     let mut t = Table::new(vec![
@@ -140,7 +142,6 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn shapes_cover_both_axes() {
@@ -151,15 +152,13 @@ mod tests {
 
     #[test]
     fn tiny_sweep_is_sane() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "3");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(3)
                 .with_warmup(1_000)
                 .with_instructions(4_000),
-        };
-        let points = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let points = collect(&exec);
         assert_eq!(points.len(), 8);
         assert!(points.iter().all(|p| p.speedup > 0.2 && p.speedup < 5.0));
     }

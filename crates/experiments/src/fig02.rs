@@ -9,7 +9,7 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// Distribution of discard probabilities for one prefetcher.
 #[derive(Debug, Clone)]
@@ -21,9 +21,9 @@ pub struct Fig02Row {
 }
 
 /// Run the experiment.
-pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
-    let mut cache = RunCache::new();
-    let workloads = settings.workloads();
+pub fn collect(exec: &Executor) -> Vec<Fig02Row> {
+    let mut cache = RunCache::new(exec, exec.config);
+    let workloads = exec.workloads();
     let jobs: Vec<_> = PrefetcherKind::EVALUATED
         .into_iter()
         .flat_map(|kind| {
@@ -32,20 +32,15 @@ pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
                 .map(move |&w| (w, Variant::Pref(kind, PageSizePolicy::Original)))
         })
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch(&jobs);
     PrefetcherKind::EVALUATED
         .into_iter()
         .map(|kind| {
-            let probabilities = settings
-                .workloads()
-                .into_iter()
-                .map(|w| {
+            let probabilities = workloads
+                .iter()
+                .map(|&w| {
                     cache
-                        .run(
-                            settings.config,
-                            w,
-                            Variant::Pref(kind, PageSizePolicy::Original),
-                        )
+                        .run(w, Variant::Pref(kind, PageSizePolicy::Original))
                         .boundary
                         .expect("prefetching run has boundary stats")
                         .discard_probability()
@@ -60,18 +55,14 @@ pub fn collect(settings: &Settings) -> Vec<Fig02Row> {
 }
 
 /// Render as the paper's figure (distribution summaries).
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_fig02.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let rows = collect(settings);
-    let workloads: Vec<Json> = settings
-        .workloads()
-        .iter()
-        .map(|w| Json::str(w.name))
-        .collect();
+pub fn report(exec: &Executor) -> (String, Json) {
+    let rows = collect(exec);
+    let workloads: Vec<Json> = exec.workloads().iter().map(|w| Json::str(w.name)).collect();
     let json_rows = Json::Arr(
         rows.iter()
             .map(|row| {
@@ -100,7 +91,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let mut doc = runner::doc(
         "fig02",
         "P(prefetch discarded for crossing 4KB inside a 2MB page), original prefetchers",
-        settings,
+        exec,
         json_rows,
     );
     doc.push("workloads", Json::Arr(workloads));
@@ -136,19 +127,16 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn probabilities_are_valid_and_nonzero_somewhere() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "6");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(6)
                 .with_warmup(1_000)
                 .with_instructions(6_000),
-        };
-        let rows = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let rows = collect(&exec);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.probabilities.iter().all(|&p| (0.0..=1.0).contains(&p)));

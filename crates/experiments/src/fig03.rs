@@ -7,7 +7,7 @@ use psa_common::Table;
 use psa_sim::Json;
 use psa_traces::catalog;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// One benchmark's usage series.
 #[derive(Debug, Clone)]
@@ -19,8 +19,8 @@ pub struct Fig03Row {
 }
 
 /// Run the experiment.
-pub fn collect(settings: &Settings) -> Vec<Fig03Row> {
-    let mut cache = RunCache::new();
+pub fn collect(exec: &Executor) -> Vec<Fig03Row> {
+    let mut cache = RunCache::new(exec, exec.config);
     let workloads: Vec<_> = catalog::MOTIVATION_SET
         .iter()
         .map(|name| runner::workload(name).unwrap_or_else(|e| panic!("{e}")))
@@ -29,14 +29,14 @@ pub fn collect(settings: &Settings) -> Vec<Fig03Row> {
         .iter()
         .map(|&w| (w, Variant::NoPrefetch))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch(&jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
         .surviving(&workloads, &[Variant::NoPrefetch])
         .into_iter()
         .map(|w| {
-            let report = cache.run(settings.config, w, Variant::NoPrefetch);
+            let report = cache.run(w, Variant::NoPrefetch);
             Fig03Row {
                 name: w.name,
                 series: report.thp_series.clone(),
@@ -46,13 +46,13 @@ pub fn collect(settings: &Settings) -> Vec<Fig03Row> {
 }
 
 /// Render: 2MB usage at 25/50/75/100% of execution.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_fig03.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let rows = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let rows = collect(exec);
     let json_rows = Json::Arr(
         rows.iter()
             .map(|row| {
@@ -76,7 +76,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let doc = runner::doc(
         "fig03",
         "memory mapped in 2MB pages across execution",
-        settings,
+        exec,
         json_rows,
     );
     let mut t = Table::new(vec![
@@ -106,16 +106,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn usage_matches_each_workloads_thp_parameter() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
                 .with_warmup(1_000)
                 .with_instructions(8_000),
-        };
-        let rows = collect(&settings);
+        );
+        let rows = collect(&exec);
         assert_eq!(rows.len(), 9);
         for row in &rows {
             let spec = catalog::workload(row.name).unwrap();

@@ -9,7 +9,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::catalog;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// One benchmark's speedups over the no-prefetch baseline.
 #[derive(Debug, Clone)]
@@ -25,8 +25,8 @@ pub struct MotivationRow {
 }
 
 /// Run both figures' data in one sweep.
-pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
-    let mut cache = RunCache::new();
+pub fn collect(exec: &Executor) -> Vec<MotivationRow> {
+    let mut cache = RunCache::new(exec, exec.config);
     let kind = PrefetcherKind::Spp;
     let variants = [
         Variant::NoPrefetch,
@@ -42,7 +42,7 @@ pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
         .iter()
         .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch(&jobs);
     // Failed jobs leave explicit gaps: their workload's row is dropped and
     // the fault is recorded in the document's `failures` array.
     cache
@@ -52,20 +52,9 @@ pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
             let base = Variant::NoPrefetch;
             MotivationRow {
                 name: w.name,
-                spp: cache.speedup(
-                    settings.config,
-                    w,
-                    Variant::Pref(kind, PageSizePolicy::Original),
-                    base,
-                ),
-                psa_magic: cache.speedup(
-                    settings.config,
-                    w,
-                    Variant::PrefMagic(kind, PageSizePolicy::Psa),
-                    base,
-                ),
+                spp: cache.speedup(w, Variant::Pref(kind, PageSizePolicy::Original), base),
+                psa_magic: cache.speedup(w, Variant::PrefMagic(kind, PageSizePolicy::Psa), base),
                 psa_magic_2mb: cache.speedup(
-                    settings.config,
                     w,
                     Variant::PrefMagic(kind, PageSizePolicy::Psa2m),
                     base,
@@ -76,13 +65,13 @@ pub fn collect(settings: &Settings) -> Vec<MotivationRow> {
 }
 
 /// Render both figures.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_fig0405.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let rows = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let rows = collect(exec);
     let json_rows = Json::Arr(
         rows.iter()
             .map(|r| {
@@ -98,7 +87,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let mut doc = runner::doc(
         "fig0405",
         "speedup over no-prefetch baseline (motivation set)",
-        settings,
+        exec,
         json_rows,
     );
     let geo = |f: fn(&MotivationRow) -> f64| geomean(&rows.iter().map(f).collect::<Vec<_>>());
@@ -144,16 +133,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn magic_psa_does_not_trail_original_in_geomean() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
                 .with_warmup(4_000)
                 .with_instructions(20_000),
-        };
-        let rows = collect(&settings);
+        );
+        let rows = collect(&exec);
         assert_eq!(rows.len(), 9);
         let spp = geomean(&rows.iter().map(|r| r.spp).collect::<Vec<_>>());
         let magic = geomean(&rows.iter().map(|r| r.psa_magic).collect::<Vec<_>>());

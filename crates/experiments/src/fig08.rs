@@ -7,7 +7,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::WorkloadSpec;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// One workload's variant speedups over SPP original.
 #[derive(Debug, Clone)]
@@ -23,10 +23,10 @@ pub struct Fig08Row {
 }
 
 /// Run the sweep for one prefetcher kind (Figure 8 uses SPP).
-pub fn collect(settings: &Settings, kind: PrefetcherKind) -> Vec<Fig08Row> {
-    let mut cache = RunCache::new();
+pub fn collect(exec: &Executor, kind: PrefetcherKind) -> Vec<Fig08Row> {
+    let mut cache = RunCache::new(exec, exec.config);
     let base = Variant::Pref(kind, PageSizePolicy::Original);
-    let workloads = settings.workloads();
+    let workloads = exec.workloads();
     let variants: Vec<Variant> = [
         PageSizePolicy::Original,
         PageSizePolicy::Psa,
@@ -40,7 +40,7 @@ pub fn collect(settings: &Settings, kind: PrefetcherKind) -> Vec<Fig08Row> {
         .iter()
         .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch(&jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
@@ -48,24 +48,9 @@ pub fn collect(settings: &Settings, kind: PrefetcherKind) -> Vec<Fig08Row> {
         .into_iter()
         .map(|w: &'static WorkloadSpec| Fig08Row {
             name: w.name,
-            psa: cache.speedup(
-                settings.config,
-                w,
-                Variant::Pref(kind, PageSizePolicy::Psa),
-                base,
-            ),
-            psa_2mb: cache.speedup(
-                settings.config,
-                w,
-                Variant::Pref(kind, PageSizePolicy::Psa2m),
-                base,
-            ),
-            psa_sd: cache.speedup(
-                settings.config,
-                w,
-                Variant::Pref(kind, PageSizePolicy::PsaSd),
-                base,
-            ),
+            psa: cache.speedup(w, Variant::Pref(kind, PageSizePolicy::Psa), base),
+            psa_2mb: cache.speedup(w, Variant::Pref(kind, PageSizePolicy::Psa2m), base),
+            psa_sd: cache.speedup(w, Variant::Pref(kind, PageSizePolicy::PsaSd), base),
         })
         .collect()
 }
@@ -80,13 +65,13 @@ pub fn geomeans(rows: &[Fig08Row]) -> (f64, f64, f64) {
 }
 
 /// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_fig08.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let rows = collect(settings, PrefetcherKind::Spp);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let rows = collect(exec, PrefetcherKind::Spp);
     let json_rows = Json::Arr(
         rows.iter()
             .map(|r| {
@@ -102,7 +87,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let mut doc = runner::doc(
         "fig08",
         "SPP variant speedups over SPP original",
-        settings,
+        exec,
         json_rows,
     );
     let (ga, gb, gc) = geomeans(&rows);
@@ -145,19 +130,16 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn sd_tracks_or_beats_the_better_competitor_in_geomean() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "8");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(8)
                 .with_warmup(4_000)
                 .with_instructions(20_000),
-        };
-        let rows = collect(&settings, PrefetcherKind::Spp);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let rows = collect(&exec, PrefetcherKind::Spp);
         let (psa, psa_2mb, sd) = geomeans(&rows);
         // The composite must land near the better pure variant, never far
         // below both (the paper's central Pref-PSA-SD claim).

@@ -8,7 +8,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{SuiteGroup, WorkloadSpec};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// Geomean speedups for one (prefetcher, variant) cell.
 #[derive(Debug, Clone)]
@@ -27,10 +27,10 @@ const GROUPS: [SuiteGroup; 3] = [SuiteGroup::Spec, SuiteGroup::GapMlCloud, Suite
 
 /// Run the full sweep over the given workloads (injectable so the
 /// non-intensive experiment can reuse it).
-pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) -> Vec<Fig09Cell> {
+pub fn collect_over(exec: &Executor, workloads: &[&'static WorkloadSpec]) -> Vec<Fig09Cell> {
     let mut out = Vec::new();
     for kind in PrefetcherKind::EVALUATED {
-        let mut cache = RunCache::new();
+        let mut cache = RunCache::new(exec, exec.config);
         let base = Variant::Pref(kind, PageSizePolicy::Original);
         let variants: Vec<Variant> = PageSizePolicy::ALL
             .into_iter()
@@ -40,7 +40,7 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
             .iter()
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
-        cache.run_batch(settings.config, &jobs);
+        cache.run_batch(&jobs);
         // A failed workload drops out of every geomean for this kind; the
         // fault is recorded in the document's `failures` array.
         let survivors = cache.surviving(workloads, &variants);
@@ -51,10 +51,10 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
         ] {
             let speedups: Vec<(SuiteGroup, f64)> = survivors
                 .iter()
-                .map(|w| {
+                .map(|&w| {
                     (
                         w.suite.group(),
-                        cache.speedup(settings.config, w, Variant::Pref(kind, policy), base),
+                        cache.speedup(w, Variant::Pref(kind, policy), base),
                     )
                 })
                 .collect();
@@ -80,21 +80,21 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
 }
 
 /// Run over the standard workload selection.
-pub fn collect(settings: &Settings) -> Vec<Fig09Cell> {
-    collect_over(settings, &settings.workloads())
+pub fn collect(exec: &Executor) -> Vec<Fig09Cell> {
+    collect_over(exec, &exec.workloads())
 }
 
 /// Render the figure.
-pub fn run(settings: &Settings) -> String {
+pub fn run(exec: &Executor) -> String {
     render(
-        &collect(settings),
+        &collect(exec),
         "Figure 9 — geomean speedup over each prefetcher's original (%)",
     )
 }
 
 /// Text rendering plus the `BENCH_fig09.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let cells = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let cells = collect(exec);
     let text = render(
         &cells,
         "Figure 9 — geomean speedup over each prefetcher's original (%)",
@@ -102,7 +102,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let doc = runner::doc(
         "fig09",
         "geomean speedup over each prefetcher's original",
-        settings,
+        exec,
         cells_json(&cells),
     );
     (text, doc)
@@ -153,19 +153,16 @@ pub fn render(cells: &[Fig09Cell], title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn bop_variants_are_identical() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "6");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(6)
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
-        let cells = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let cells = collect(&exec);
         assert_eq!(cells.len(), 12);
         // §VI-B1: BOP has no page-indexed structure, so PSA == PSA-2MB ==
         // PSA-SD exactly.

@@ -9,7 +9,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, RunReport};
 use psa_traces::catalog;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// The per-workload metric deltas of one PSA variant vs SPP original.
 #[derive(Debug, Clone)]
@@ -46,8 +46,8 @@ fn latency_reduction(base: f64, new: f64) -> f64 {
 }
 
 /// Compute the rows for one variant.
-pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
-    let mut cache = RunCache::new();
+pub fn collect(exec: &Executor, policy: PageSizePolicy) -> Vec<Fig10Row> {
+    let mut cache = RunCache::new(exec, exec.config);
     let kind = PrefetcherKind::Spp;
     let workloads: Vec<_> = catalog::FIG10_SET
         .iter()
@@ -61,7 +61,7 @@ pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
         .iter()
         .flat_map(|&w| variants.into_iter().map(move |v| (w, v)))
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch(&jobs);
     // A failed workload leaves an explicit gap (its row is dropped); the
     // fault itself is recorded in the document's `failures` array.
     cache
@@ -69,15 +69,9 @@ pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
         .into_iter()
         .map(|w| {
             let orig = cache
-                .run(
-                    settings.config,
-                    w,
-                    Variant::Pref(kind, PageSizePolicy::Original),
-                )
+                .run(w, Variant::Pref(kind, PageSizePolicy::Original))
                 .clone();
-            let new = cache
-                .run(settings.config, w, Variant::Pref(kind, policy))
-                .clone();
+            let new = cache.run(w, Variant::Pref(kind, policy)).clone();
             Fig10Row {
                 name: w.name,
                 speedup: if orig.ipc() > 0.0 {
@@ -99,8 +93,8 @@ pub fn collect(settings: &Settings, policy: PageSizePolicy) -> Vec<Fig10Row> {
 }
 
 /// Render the figure for both variants.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 fn row_json(r: &Fig10Row) -> Json {
@@ -123,11 +117,11 @@ fn row_json(r: &Fig10Row) -> Json {
 }
 
 /// Text rendering plus the `BENCH_fig10.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
+pub fn report(exec: &Executor) -> (String, Json) {
     let mut out = String::from("Figure 10 — sources of improvement (vs SPP original)\n");
     let mut variants = Vec::new();
     for policy in [PageSizePolicy::Psa, PageSizePolicy::PsaSd] {
-        let rows = collect(settings, policy);
+        let rows = collect(exec, policy);
         variants.push(Json::obj([
             ("variant", Json::str(format!("SPP{}", policy.suffix()))),
             ("rows", Json::Arr(rows.iter().map(row_json).collect())),
@@ -170,7 +164,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let doc = runner::doc(
         "fig10",
         "sources of improvement (vs SPP original)",
-        settings,
+        exec,
         Json::Arr(variants),
     );
     (out, doc)
@@ -179,16 +173,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn metrics_are_finite_and_cover_the_set() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
-        let rows = collect(&settings, PageSizePolicy::Psa);
+        );
+        let rows = collect(&exec, PageSizePolicy::Psa);
         assert_eq!(rows.len(), 14);
         for r in &rows {
             for v in [

@@ -15,7 +15,7 @@ use psa_prefetchers::{ModuleSpec, PrefetcherKind};
 use psa_sim::{Json, SimError, System};
 
 use crate::ckpt;
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// The selection-logic alternatives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,13 +84,13 @@ fn job_label(kind: PrefetcherKind, logic: Logic) -> String {
 /// now fully described by its `SimConfig`'s [`ModuleSpec`], so the
 /// snapshot key captures the module shape directly.
 fn logic_ipc(
-    settings: &Settings,
+    exec: &Executor,
     kind: PrefetcherKind,
     logic: Logic,
     w: &'static psa_traces::WorkloadSpec,
     env: &runner::JobEnv,
 ) -> Result<f64, SimError> {
-    let mut config = env.config(settings.config);
+    let mut config = env.config(exec.config);
     config.sd = sd_config(logic);
     let (build, ckpt_label): (Box<dyn Fn() -> Result<System, SimError>>, String) = match logic {
         Logic::IsoStorage => {
@@ -110,7 +110,7 @@ fn logic_ipc(
             Variant::Pref(kind, PageSizePolicy::PsaSd).label(),
         ),
     };
-    Ok(ckpt::warm_via_checkpoint(&*build, &ckpt_label)?
+    Ok(ckpt::warm_via_checkpoint(exec, &*build, &ckpt_label)?
         .try_run()?
         .ipc())
 }
@@ -120,29 +120,30 @@ fn logic_ipc(
 /// [`runner::parallel_map_isolated`], so a faulty cell becomes a gap
 /// (the workload drops out of that logic's geomean) instead of aborting
 /// the figure.
-pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
+pub fn collect(exec: &Executor) -> Vec<Fig11Row> {
     let kinds = [
         PrefetcherKind::Spp,
         PrefetcherKind::Vldp,
         PrefetcherKind::Ppf,
     ];
-    let workloads = settings.workloads();
+    let workloads = exec.workloads();
     kinds
         .into_iter()
         .map(|kind| {
-            let mut cache = RunCache::new();
+            let mut cache = RunCache::new(exec, exec.config);
             let base = Variant::Pref(kind, PageSizePolicy::Original);
             let base_jobs: Vec<_> = workloads.iter().map(|&w| (w, base)).collect();
-            cache.run_batch(settings.config, &base_jobs);
+            cache.run_batch(&base_jobs);
             let mut speedups = [1.0f64; 4];
             for (i, logic) in Logic::ALL.into_iter().enumerate() {
                 let ipcs = runner::parallel_map_isolated(
+                    exec,
                     &workloads,
                     |&w| runner::JobSpec {
                         workload: w.name,
                         label: job_label(kind, logic),
                     },
-                    |&w, env| logic_ipc(settings, kind, logic, w, env),
+                    |&w, env| logic_ipc(exec, kind, logic, w, env),
                 );
                 let per: Vec<f64> = workloads
                     .iter()
@@ -155,7 +156,7 @@ pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
                         if !cache.completed(w, base) {
                             return None;
                         }
-                        let orig = cache.run(settings.config, w, base).ipc();
+                        let orig = cache.run(w, base).ipc();
                         Some(if orig > 0.0 { ipc / orig } else { 1.0 })
                     })
                     .collect();
@@ -169,13 +170,13 @@ pub fn collect(settings: &Settings) -> Vec<Fig11Row> {
 }
 
 /// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_fig11.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let rows = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let rows = collect(exec);
     let json_rows = Json::Arr(
         rows.iter()
             .map(|r| {
@@ -193,7 +194,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let doc = runner::doc(
         "fig11",
         "selection-logic ablation, geomean speedup over original",
-        settings,
+        exec,
         json_rows,
     );
     let mut t = Table::new(vec![
@@ -222,7 +223,6 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn iso_storage_spec_really_doubles_storage() {
@@ -239,15 +239,13 @@ mod tests {
 
     #[test]
     fn ablation_runs_on_a_small_slice() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "4");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(4)
                 .with_warmup(1_000)
                 .with_instructions(5_000),
-        };
-        let rows = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let rows = collect(&exec);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             for s in r.speedups {

@@ -7,7 +7,7 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, SimConfig};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// Which knob a sweep turns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,13 +80,13 @@ pub struct Fig12Cell {
 }
 
 /// Run one panel's sweep for the given prefetchers.
-pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) -> Vec<Fig12Cell> {
+pub fn collect(exec: &Executor, kinds: &[PrefetcherKind], knobs: &[Knob]) -> Vec<Fig12Cell> {
     let mut out = Vec::new();
-    let workloads = settings.workloads();
+    let workloads = exec.workloads();
     for &knob in knobs {
-        let config = knob.apply(settings.config);
+        let config = knob.apply(exec.config);
         for &kind in kinds {
-            let mut cache = RunCache::new();
+            let mut cache = RunCache::new(exec, config);
             let base = Variant::Pref(kind, PageSizePolicy::Original);
             let jobs: Vec<_> = workloads
                 .iter()
@@ -100,12 +100,12 @@ pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) ->
                     .map(move |policy| (w, Variant::Pref(kind, policy)))
                 })
                 .collect();
-            cache.run_batch(config, &jobs);
+            cache.run_batch(&jobs);
             let mut psa = Vec::new();
             let mut sd = Vec::new();
             for &w in &workloads {
-                psa.push(cache.speedup(config, w, Variant::Pref(kind, PageSizePolicy::Psa), base));
-                sd.push(cache.speedup(config, w, Variant::Pref(kind, PageSizePolicy::PsaSd), base));
+                psa.push(cache.speedup(w, Variant::Pref(kind, PageSizePolicy::Psa), base));
+                sd.push(cache.speedup(w, Variant::Pref(kind, PageSizePolicy::PsaSd), base));
             }
             out.push(Fig12Cell {
                 kind,
@@ -120,16 +120,16 @@ pub fn collect(settings: &Settings, kinds: &[PrefetcherKind], knobs: &[Knob]) ->
 
 /// Render all three panels. `kinds` defaults to all four in the bench;
 /// tests pass a subset.
-pub fn run_with(settings: &Settings, kinds: &[PrefetcherKind]) -> String {
-    report_with(settings, kinds).0
+pub fn run_with(exec: &Executor, kinds: &[PrefetcherKind]) -> String {
+    report_with(exec, kinds).0
 }
 
 /// Text rendering plus the `BENCH_fig12.json` document.
-pub fn report_with(settings: &Settings, kinds: &[PrefetcherKind]) -> (String, Json) {
+pub fn report_with(exec: &Executor, kinds: &[PrefetcherKind]) -> (String, Json) {
     let mut out = String::from("Figure 12 — constrained evaluation, geomean over original (%)\n");
     let mut panels = Vec::new();
     for (panel, knobs) in sweep_points() {
-        let cells = collect(settings, kinds, &knobs);
+        let cells = collect(exec, kinds, &knobs);
         panels.push(Json::obj([
             ("panel", Json::str(panel)),
             (
@@ -168,20 +168,20 @@ pub fn report_with(settings: &Settings, kinds: &[PrefetcherKind]) -> (String, Js
     let doc = runner::doc(
         "fig12",
         "constrained evaluation, geomean over original",
-        settings,
+        exec,
         Json::Arr(panels),
     );
     (out, doc)
 }
 
 /// Render with all four evaluated prefetchers.
-pub fn run(settings: &Settings) -> String {
-    run_with(settings, &PrefetcherKind::EVALUATED)
+pub fn run(exec: &Executor) -> String {
+    run_with(exec, &PrefetcherKind::EVALUATED)
 }
 
 /// JSON report with all four evaluated prefetchers.
-pub fn report(settings: &Settings) -> (String, Json) {
-    report_with(settings, &PrefetcherKind::EVALUATED)
+pub fn report(exec: &Executor) -> (String, Json) {
+    report_with(exec, &PrefetcherKind::EVALUATED)
 }
 
 #[cfg(test)]
@@ -206,19 +206,17 @@ mod tests {
 
     #[test]
     fn tiny_sweep_runs() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "3");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(3)
                 .with_warmup(1_000)
                 .with_instructions(4_000),
-        };
+        );
         let cells = collect(
-            &settings,
+            &exec,
             &[PrefetcherKind::Spp],
             &[Knob::DramMts(800), Knob::DramMts(3200)],
         );
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.psa > 0.2 && c.psa_sd > 0.2));
     }

@@ -8,7 +8,7 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::{Json, L1dPrefKind};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// One bar of the figure.
 #[derive(Debug, Clone)]
@@ -46,9 +46,9 @@ fn bar_variants() -> Vec<(String, Variant)> {
 }
 
 /// Run the comparison.
-pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
-    let mut cache = RunCache::new();
-    let workloads = settings.workloads();
+pub fn collect(exec: &Executor) -> Vec<Fig13Bar> {
+    let mut cache = RunCache::new(exec, exec.config);
+    let workloads = exec.workloads();
     let variants = bar_variants();
     let jobs: Vec<_> = workloads
         .iter()
@@ -57,7 +57,7 @@ pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
                 .chain(variants.iter().map(move |&(_, v)| (w, v)))
         })
         .collect();
-    cache.run_batch(settings.config, &jobs);
+    cache.run_batch(&jobs);
     // A failed workload drops out of every bar's geomean; the fault is
     // recorded in the document's `failures` array.
     let mut all_variants = vec![Variant::NoPrefetch];
@@ -68,7 +68,7 @@ pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
         .map(|(label, variant)| {
             let per: Vec<f64> = survivors
                 .iter()
-                .map(|w| cache.speedup(settings.config, w, variant, Variant::NoPrefetch))
+                .map(|&w| cache.speedup(w, variant, Variant::NoPrefetch))
                 .collect();
             Fig13Bar {
                 label,
@@ -79,13 +79,13 @@ pub fn collect(settings: &Settings) -> Vec<Fig13Bar> {
 }
 
 /// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_fig13.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let bars = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let bars = collect(exec);
     let mut t = Table::new(vec!["configuration".into(), "speedup ×".into()]);
     for b in &bars {
         t.row(vec![b.label.clone(), format!("{:.3}", b.speedup)]);
@@ -107,7 +107,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let doc = runner::doc(
         "fig13",
         "vs L1D prefetching, geomean speedup over no-prefetch baseline",
-        settings,
+        exec,
         json_rows,
     );
     (text, doc)
@@ -116,19 +116,16 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn bars_cover_l1d_and_l2c_configurations() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "4");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(4)
                 .with_warmup(1_000)
                 .with_instructions(5_000),
-        };
-        let bars = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let bars = collect(&exec);
         // 3 L1D bars + (3 prefetchers × 2 variants) + BOP-PSA = 10.
         assert_eq!(bars.len(), 10);
         assert!(bars.iter().any(|b| b.label == "IPCP++"));

@@ -10,7 +10,7 @@ use psa_traces::{mixes::random_mixes, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 
 use crate::ckpt;
-use crate::runner::{self, Settings, Variant};
+use crate::runner::{self, Executor, Variant};
 
 /// The distribution of per-mix weighted speedups for one configuration.
 #[derive(Debug, Clone)]
@@ -63,12 +63,12 @@ pub fn bar_set() -> Vec<(PrefetcherKind, PageSizePolicy)> {
 /// mixes from the distribution (an explicit gap, journalled in the
 /// document's `failures` array) instead of aborting the figure; warm-ups
 /// share through the checkpoint store.
-pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
+pub fn collect(exec: &Executor, cores: usize) -> Vec<MultiBar> {
     let mut config = SimConfig::for_cores(cores);
-    config.warmup = settings.config.warmup;
-    config.instructions = settings.config.instructions;
-    config.seed = settings.config.seed;
-    let mixes = random_mixes(settings.mixes(), cores, config.seed);
+    config.warmup = exec.config.warmup;
+    config.instructions = exec.config.instructions;
+    config.seed = exec.config.seed;
+    let mixes = random_mixes(exec.mixes(), cores, config.seed);
     let bars = bar_set();
 
     // Unique prefetcher kinds, in bar order.
@@ -93,6 +93,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
         }
     }
     let iso_vals = runner::parallel_map_isolated(
+        exec,
         &iso_jobs,
         |&(kind, w)| runner::JobSpec {
             workload: w.name,
@@ -103,6 +104,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
             solo.cores = 1;
             let build = move || System::try_multi_core(solo, &[w], kind, PageSizePolicy::Original);
             ckpt::warm_via_checkpoint(
+                exec,
                 &build,
                 &Variant::Pref(kind, PageSizePolicy::Original).label(),
             )?
@@ -124,6 +126,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
         .flat_map(|&k| (0..mixes.len()).map(move |i| (k, i)))
         .collect();
     let base_vals = runner::parallel_map_isolated(
+        exec,
         &base_jobs,
         |&(kind, i)| runner::JobSpec {
             workload: mixes[i][0].name,
@@ -134,6 +137,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
             let mix = &mixes[i];
             let build = move || System::try_multi_core(cfg, mix, kind, PageSizePolicy::Original);
             ckpt::warm_via_checkpoint(
+                exec,
                 &build,
                 &Variant::Pref(kind, PageSizePolicy::Original).label(),
             )?
@@ -152,6 +156,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
     bars.into_iter()
         .map(|(kind, policy)| {
             let evals = runner::parallel_map_isolated(
+                exec,
                 &mix_indices,
                 |&i| runner::JobSpec {
                     workload: mixes[i][0].name,
@@ -161,7 +166,7 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
                     let cfg = env.config(config);
                     let mix = &mixes[i];
                     let build = move || System::try_multi_core(cfg, mix, kind, policy);
-                    ckpt::warm_via_checkpoint(&build, &Variant::Pref(kind, policy).label())?
+                    ckpt::warm_via_checkpoint(exec, &build, &Variant::Pref(kind, policy).label())?
                         .try_run_multi()
                 },
             );
@@ -191,14 +196,14 @@ pub fn collect(settings: &Settings, cores: usize) -> Vec<MultiBar> {
 }
 
 /// Render one figure (4-core → Figure 14, 8-core → Figure 15).
-pub fn run(settings: &Settings, cores: usize) -> String {
-    report(settings, cores).0
+pub fn run(exec: &Executor, cores: usize) -> String {
+    report(exec, cores).0
 }
 
 /// Text rendering plus the `BENCH_fig14.json` / `BENCH_fig15.json`
 /// document.
-pub fn report(settings: &Settings, cores: usize) -> (String, Json) {
-    let bars = collect(settings, cores);
+pub fn report(exec: &Executor, cores: usize) -> (String, Json) {
+    let bars = collect(exec, cores);
     let figure = if cores == 4 { "fig14" } else { "fig15" };
     let json_rows = Json::Arr(
         bars.iter()
@@ -217,7 +222,7 @@ pub fn report(settings: &Settings, cores: usize) -> (String, Json) {
     let mut doc = runner::doc(
         figure,
         "multi-core weighted speedups over each original",
-        settings,
+        exec,
         json_rows,
     );
     doc.push("cores", Json::uint(cores as u64));
@@ -255,15 +260,13 @@ mod tests {
 
     #[test]
     fn two_core_smoke() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_MIXES", "2");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_mixes(2)
                 .with_warmup(500)
                 .with_instructions(2_500),
-        };
-        let bars = collect(&settings, 2);
-        std::env::remove_var("PSA_MIXES");
+        );
+        let bars = collect(&exec, 2);
         assert_eq!(bars.len(), 7);
         for b in &bars {
             assert_eq!(b.per_mix.len(), 2);

@@ -16,7 +16,7 @@ use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{SuiteGroup, WorkloadSpec};
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// The families compared: the paper's vehicle plus the two extensions.
 pub const FAMILIES: [PrefetcherKind; 3] = [
@@ -51,10 +51,10 @@ fn measured(kind: PrefetcherKind) -> [Variant; 4] {
 }
 
 /// Run the full sweep over the given workloads.
-pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) -> Vec<Fig16Cell> {
+pub fn collect_over(exec: &Executor, workloads: &[&'static WorkloadSpec]) -> Vec<Fig16Cell> {
     let mut out = Vec::new();
     for kind in FAMILIES {
-        let mut cache = RunCache::new();
+        let mut cache = RunCache::new(exec, exec.config);
         let base = Variant::Pref(kind, PageSizePolicy::Original);
         let mut variants = vec![base];
         variants.extend(measured(kind));
@@ -62,19 +62,14 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
             .iter()
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
-        cache.run_batch(settings.config, &jobs);
+        cache.run_batch(&jobs);
         // A failed workload drops out of every geomean for this family;
         // the fault is recorded in the document's `failures` array.
         let survivors = cache.surviving(workloads, &variants);
         for variant in measured(kind) {
             let speedups: Vec<(SuiteGroup, f64)> = survivors
                 .iter()
-                .map(|w| {
-                    (
-                        w.suite.group(),
-                        cache.speedup(settings.config, w, variant, base),
-                    )
-                })
+                .map(|&w| (w.suite.group(), cache.speedup(w, variant, base)))
                 .collect();
             let per_group = GROUPS.map(|g| {
                 geomean(
@@ -98,23 +93,23 @@ pub fn collect_over(settings: &Settings, workloads: &[&'static WorkloadSpec]) ->
 }
 
 /// Run over the standard workload selection.
-pub fn collect(settings: &Settings) -> Vec<Fig16Cell> {
-    collect_over(settings, &settings.workloads())
+pub fn collect(exec: &Executor) -> Vec<Fig16Cell> {
+    collect_over(exec, &exec.workloads())
 }
 
 /// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    render(&collect(settings))
+pub fn run(exec: &Executor) -> String {
+    render(&collect(exec))
 }
 
 /// Text rendering plus the `BENCH_fig16.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let cells = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let cells = collect(exec);
     let text = render(&cells);
     let doc = runner::doc(
         "fig16",
         "new families (Pangloss, DSPatch) vs SPP, geomean speedup over each family's original",
-        settings,
+        exec,
         cells_json(&cells),
     );
     (text, doc)
@@ -168,19 +163,16 @@ pub fn render(cells: &[Fig16Cell]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn new_families_complete_the_matrix_on_a_small_slice() {
-        let _guard = crate::runner::test_env_lock();
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "4");
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
+                .with_workload_limit(4)
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
-        let cells = collect(&settings);
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        );
+        let cells = collect(&exec);
         assert_eq!(cells.len(), FAMILIES.len() * 4);
         for c in &cells {
             assert!(

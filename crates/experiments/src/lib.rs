@@ -1,14 +1,15 @@
 //! Experiment harness: one module per figure/table of *Page Size Aware
 //! Cache Prefetching* (MICRO 2022).
 //!
-//! Every module exposes a `run(settings) -> String` entry point that
-//! executes the experiment and renders the paper's rows as plain text,
-//! plus a `report(settings) -> (String, Json)` variant that additionally
-//! assembles the machine-readable `BENCH_<figure>.json` document (see
-//! `docs/METRICS.md`); the `psa-bench` crate wraps each in a `cargo
-//! bench` target. Independent simulations fan out across cores through
-//! [`runner::RunCache::run_batch`] and [`runner::parallel_map`] —
-//! bit-identical to serial execution (see [`runner`]).
+//! Every module exposes a `run(exec) -> String` entry point that
+//! executes the experiment on an [`Executor`] and renders the paper's
+//! rows as plain text, plus a `report(exec) -> (String, Json)` variant
+//! that additionally assembles the machine-readable `BENCH_<figure>.json`
+//! document (see `docs/METRICS.md`); the `psa-bench` crate wraps each in
+//! a `cargo bench` target. Independent simulations fan out across cores
+//! through [`runner::RunCache::run_batch`] and
+//! [`runner::parallel_map_isolated`] — bit-identical to serial execution
+//! (see [`runner`]).
 //!
 //! | Module | Paper content |
 //! |---|---|
@@ -27,19 +28,24 @@
 //! | [`nonintensive`] | §VI-B1's non-intensive augmentation |
 //! | [`ablations`] | Set-Dueling shape sweeps (sets/competitor, `Csel` width) |
 //!
-//! Scaling knobs (environment): `PSA_WARMUP`, `PSA_INSTRUCTIONS` override
-//! the per-run instruction budget; `PSA_WORKLOAD_LIMIT=n` subsamples the
-//! 80-workload set (stride-sampled so every suite stays represented);
-//! `PSA_MIXES=n` bounds the multi-core mix count; `PSA_THREADS=n` caps
-//! the parallel executor's worker count (default: all cores);
-//! `PSA_JSON_RUNS=1` embeds raw per-run reports in emitted JSON;
-//! `PSA_TRACE_FILE=<path>` points the [`trace_replay`] figure at a
-//! `.psatrace` recording other than the committed sample fixture;
-//! `PSA_CKPT_DIR=<dir>` persists warm-up checkpoints — and memoised
-//! finished reports — across processes through the crash-safe tiered
-//! store (`psa-store`); `PSA_CKPT_MEM_MB=n` / `PSA_CKPT_DISK_MB=n`
-//! bound its memory and disk tiers and `PSA_CKPT_LAYOUT=flat` selects
-//! the legacy flat-file layout (see [`ckpt`] and `docs/CHECKPOINT.md`).
+//! Every knob is a field of [`RunnerOptions`]; binaries read them once,
+//! at entry, from the `PSA_*` environment with
+//! [`RunnerOptions::from_env`] (the only place in the workspace that
+//! reads the environment) and build one [`Executor`] from them. Tests
+//! and drivers set the fields directly.
+//!
+//! Scaling knobs: `PSA_WARMUP`, `PSA_INSTRUCTIONS` override the per-run
+//! instruction budget; `PSA_WORKLOAD_LIMIT=n` subsamples the 80-workload
+//! set (stride-sampled so every suite stays represented); `PSA_MIXES=n`
+//! bounds the multi-core mix count; `PSA_THREADS=n` caps the parallel
+//! executor's worker count (default: all cores); `PSA_JSON_RUNS=1`
+//! embeds raw per-run reports in emitted JSON; `PSA_TRACE_FILE=<path>`
+//! points the [`trace_replay`] figure at a `.psatrace` recording other
+//! than the committed sample fixture; `PSA_CKPT_DIR=<dir>` persists
+//! warm-up checkpoints — and memoised finished reports — across
+//! processes through the crash-safe tiered store (`psa-store`);
+//! `PSA_CKPT_MEM_MB=n` / `PSA_CKPT_DISK_MB=n` bound its memory and disk
+//! tiers (see [`ckpt`] and `docs/CHECKPOINT.md`).
 //!
 //! Robustness knobs (see `docs/ROBUSTNESS.md`): `PSA_WATCHDOG=n` sets the
 //! forward-progress watchdog threshold (0 disables); `PSA_CHECK=1` turns
@@ -47,19 +53,15 @@
 //! `PSA_INJECT_STALL` deliberately fault a named job to exercise the
 //! executor's fault isolation; `PSA_FAULT_PLAN` injects deterministic
 //! IO faults (torn writes, bit flips, ENOSPC, transient EIO) under the
-//! checkpoint store. Failed jobs become entries in each
-//! document's `failures` array and figures render with explicit gaps.
+//! checkpoint store. Failed jobs become entries in the `failures` array
+//! of the document their work produced, and figures render with
+//! explicit gaps.
 //!
 //! Observability knobs (see `docs/OBSERVABILITY.md`): `PSA_OBS=1` turns
 //! on the zero-cost-when-disabled metrics/event layer (`psa_common::obs`);
 //! `PSA_OBS_RING=n` / `PSA_OBS_SAMPLE=n` shape its event ring;
 //! `PSA_OBS_TRACE=<path>` exports the first observed run as Chrome
 //! `trace_event` JSON.
-//!
-//! All of these reach the machinery through one typed facade,
-//! [`runner::RunnerOptions`] — `RunnerOptions::from_env()` is the only
-//! place in the workspace that parses `PSA_*` variables, and programmatic
-//! `with_*` overrides always beat the environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,4 +84,4 @@ pub mod runner;
 pub mod service;
 pub mod trace_replay;
 
-pub use runner::{CkptLayout, RunnerOptions, Settings};
+pub use runner::{Executor, RunnerOptions};

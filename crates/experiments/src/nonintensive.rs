@@ -9,22 +9,22 @@ use psa_sim::Json;
 use psa_traces::{catalog, WorkloadSpec};
 
 use crate::fig09::{cells_json, collect_over, Fig09Cell};
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// Run the augmented-set sweep.
-pub fn collect(settings: &Settings) -> Vec<Fig09Cell> {
-    let mut workloads: Vec<&'static WorkloadSpec> = settings.workloads();
+pub fn collect(exec: &Executor) -> Vec<Fig09Cell> {
+    let mut workloads: Vec<&'static WorkloadSpec> = exec.workloads();
     workloads.extend(catalog::NON_INTENSIVE.iter());
-    collect_over(settings, &workloads)
+    collect_over(exec, &workloads)
 }
 
 /// Geomean speedups of the PSA-SD variants restricted to the non-intensive
 /// workloads only — the "no harm" check.
-pub fn non_intensive_only(settings: &Settings) -> Vec<(PrefetcherKind, f64)> {
+pub fn non_intensive_only(exec: &Executor) -> Vec<(PrefetcherKind, f64)> {
     PrefetcherKind::EVALUATED
         .into_iter()
         .map(|kind| {
-            let mut cache = RunCache::new();
+            let mut cache = RunCache::new(exec, exec.config);
             let base = Variant::Pref(kind, PageSizePolicy::Original);
             let jobs: Vec<_> = catalog::NON_INTENSIVE
                 .iter()
@@ -34,17 +34,10 @@ pub fn non_intensive_only(settings: &Settings) -> Vec<(PrefetcherKind, f64)> {
                         .map(move |v| (w, v))
                 })
                 .collect();
-            cache.run_batch(settings.config, &jobs);
+            cache.run_batch(&jobs);
             let per: Vec<f64> = catalog::NON_INTENSIVE
                 .iter()
-                .map(|w| {
-                    cache.speedup(
-                        settings.config,
-                        w,
-                        Variant::Pref(kind, PageSizePolicy::PsaSd),
-                        base,
-                    )
-                })
+                .map(|w| cache.speedup(w, Variant::Pref(kind, PageSizePolicy::PsaSd), base))
                 .collect();
             (kind, geomean(&per))
         })
@@ -52,18 +45,18 @@ pub fn non_intensive_only(settings: &Settings) -> Vec<(PrefetcherKind, f64)> {
 }
 
 /// Render the section's numbers.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_nonintensive.json` document.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let cells = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let cells = collect(exec);
     let mut out = crate::fig09::render(
         &cells,
         "§VI-B1 — intensive + non-intensive set, geomean over each original (%)",
     );
-    let no_harm = non_intensive_only(settings);
+    let no_harm = non_intensive_only(exec);
     let mut t = Table::new(vec![
         "prefetcher".into(),
         "PSA-SD on non-intensive only %".into(),
@@ -78,7 +71,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let mut doc = runner::doc(
         "nonintensive",
         "intensive + non-intensive set, geomean over each original",
-        settings,
+        exec,
         cells_json(&cells),
     );
     doc.push(
@@ -101,16 +94,15 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
 
     #[test]
     fn no_harm_on_quiet_workloads() {
-        let settings = Settings {
-            config: SimConfig::default()
+        let exec = Executor::new(
+            crate::RunnerOptions::default()
                 .with_warmup(2_000)
                 .with_instructions(8_000),
-        };
-        for (kind, g) in non_intensive_only(&settings) {
+        );
+        for (kind, g) in non_intensive_only(&exec) {
             assert!(
                 g > 0.93,
                 "{kind}: PSA-SD must not materially harm non-intensive workloads, got {g:.3}"

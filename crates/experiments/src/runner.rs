@@ -1,5 +1,16 @@
-//! Shared experiment plumbing: run settings, workload selection, a
-//! memoising run cache, and the parallel experiment executor.
+//! Shared experiment plumbing: the [`Executor`] every run goes through,
+//! workload selection, a memoising run cache, and the parallel job pool.
+//!
+//! # One executor per process
+//!
+//! An [`Executor`] bundles everything a run depends on besides its own
+//! arguments: the base [`SimConfig`], the typed [`RunnerOptions`], the
+//! checkpoint/result store, the execution statistics and the run and
+//! failure journals. Binaries build one at entry from
+//! [`RunnerOptions::from_env`] — the only place the environment is read —
+//! and pass `&Executor` everywhere; tests build theirs from options set
+//! directly. Nothing here is process-global, so two executors in one
+//! process never see each other's settings, store, stats or failures.
 //!
 //! # Parallel execution
 //!
@@ -9,27 +20,26 @@
 //! (a work-queue over `std::thread::scope`, no external dependencies).
 //! Results are **bit-identical** to the serial order regardless of thread
 //! count or scheduling; the `parallel_matches_serial` test asserts it.
-//!
-//! The thread count comes from `PSA_THREADS` (default: all available
-//! cores). `PSA_THREADS=1` forces the serial path.
+//! The worker count is [`RunnerOptions::threads`] (default: all available
+//! cores); `threads = 1` forces the serial path.
 //!
 //! # Observability
 //!
-//! Each [`RunCache`] tracks an [`ExecStats`]: simulations executed, memo
-//! hits, per-run wall-clock, simulated cycles (and the derived
-//! cycles/second throughput), peak queue depth and per-thread run counts.
-//! The same counters are aggregated process-wide and embedded in every
-//! emitted `BENCH_*.json` under `"executor"` (see [`global_stats`]).
+//! The executor counts simulations executed, memo hits, per-run
+//! wall-clock, simulated cycles (and the derived cycles/second
+//! throughput), peak queue depth and per-thread run counts, and embeds
+//! them in every emitted `BENCH_*.json` under `"executor"` (see
+//! [`Executor::stats`]).
 //!
 //! # Warm-up checkpointing
 //!
-//! Every memoised simulation warms up through the
+//! Every memoised simulation warms up through the executor's
 //! [`crate::ckpt`] store: the first run of a `(config, workload,
 //! variant)` key executes the warm-up and snapshots the machine; later
 //! runs under the same exact key restore the snapshot and skip straight
 //! to measurement. Results are bit-identical to a cold warm-up (the
-//! `psa-sim` snapshot tests prove it); `PSA_CKPT_DIR` extends the store
-//! across processes. See `docs/CHECKPOINT.md`.
+//! `psa-sim` snapshot tests prove it); [`RunnerOptions::ckpt_dir`]
+//! extends the store across processes. See `docs/CHECKPOINT.md`.
 //!
 //! # Fault isolation
 //!
@@ -39,14 +49,14 @@
 //! paths, so one panicking or watchdog-stalled job becomes a recorded gap
 //! ([`RunOutcome::Failed`] / a `None` slot) instead of poisoning the
 //! batch: the remaining jobs complete bit-identically to a clean run, the
-//! failure lands in the process-wide journal (the `"failures"` array of
-//! every `BENCH_*.json`, see [`failures_json`]), and figures render
-//! partial results with explicit gaps. `PSA_INJECT_PANIC` and
-//! `PSA_INJECT_STALL` (`<workload>` or `<workload>/<label>`) inject
-//! faults for testing this machinery (see `docs/ROBUSTNESS.md`). Only the
-//! raw [`parallel_map`] primitive stays unisolated; every figure's
-//! simulation jobs go through one of the isolated paths.
+//! failure lands in the journal of the work that produced it (the
+//! `"failures"` array of the document, see [`doc`] and [`RunCache::doc`]),
+//! and figures render partial results with explicit gaps.
+//! [`RunnerOptions::inject_panic`] and [`RunnerOptions::inject_stall`]
+//! (`<workload>` or `<workload>/<label>`) inject faults for testing this
+//! machinery (see `docs/ROBUSTNESS.md`).
 
+use crate::ckpt::Backend;
 use psa_common::obs::store::StoreSnapshot;
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
@@ -54,60 +64,21 @@ use psa_sim::report::{self, Json};
 use psa_sim::{L1dPrefKind, ObsConfig, ObsReport, RunReport, SimConfig, SimError, System};
 use psa_store::fault::FaultPlan;
 use psa_traces::{catalog, WorkloadRef, WorkloadSpec};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Experiment-wide settings.
-#[derive(Debug, Clone, Copy)]
-pub struct Settings {
-    /// The machine/run configuration (Table I + instruction budget).
-    pub config: SimConfig,
-}
-
-impl Default for Settings {
-    fn default() -> Self {
-        // Laptop-scale default budget; `PSA_WARMUP` / `PSA_INSTRUCTIONS`
-        // scale it up towards the paper's 250M+250M.
-        let base = SimConfig::default()
-            .with_warmup(40_000)
-            .with_instructions(120_000);
-        Self {
-            config: RunnerOptions::from_env()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .apply(base),
-        }
-    }
-}
-
-/// Which on-disk layout the checkpoint store uses (`PSA_CKPT_LAYOUT`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CkptLayout {
-    /// The crash-safe tiered segment store (`psa-store`): checksummed
-    /// frames in append-only segments under an atomically-swapped
-    /// manifest, with report memoisation. The default.
-    #[default]
-    Tiered,
-    /// Legacy flat `psa-<key>.ckpt` snapshot files — a compatibility
-    /// escape hatch; no report memoisation, no fault injection.
-    Flat,
-}
-
 /// Every documented `PSA_*` knob as one typed options value — the single
-/// supported way the environment reaches the machinery. Build one with
-/// [`RunnerOptions::from_env`] (strict: a set-but-malformed variable is a
-/// [`SimError::EnvVar`] naming the variable and the value, never a
-/// silently ignored knob), then override programmatically with the
-/// `with_*` builders — programmatic settings always win over the
-/// environment — and thread the run-shape subset into a [`SimConfig`]
-/// with [`RunnerOptions::apply`].
-///
-/// The environment stays supported as a compatibility layer, but this
-/// module is the only place it is parsed; no other crate in the workspace
-/// reads `PSA_*` variables directly.
+/// supported way the environment reaches the machinery. Binaries read it
+/// once at entry with [`RunnerOptions::from_env`] (strict: a
+/// set-but-malformed variable is a [`SimError::EnvVar`] naming the
+/// variable and the value, never a silently ignored knob); tests and
+/// drivers set fields directly or through the `with_*` builders. The
+/// options then live in an [`Executor`], which is the only thing the
+/// machinery consults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunnerOptions {
     /// `PSA_THREADS` — parallel-executor worker count (`None`: all
@@ -131,18 +102,16 @@ pub struct RunnerOptions {
     /// `PSA_CKPT_MEM_MB` — in-memory warm-up checkpoint store cap
     /// (`None`: 256MB).
     pub ckpt_mem_mb: Option<usize>,
-    /// `PSA_CKPT_DIR` — on-disk warm-up checkpoint store directory.
+    /// `PSA_CKPT_DIR` — directory of the tiered on-disk checkpoint/result
+    /// store (`None`: memory only).
     pub ckpt_dir: Option<PathBuf>,
     /// `PSA_CKPT_DISK_MB` — disk-tier budget of the tiered checkpoint
     /// store (`None`: 2048MB).
     pub ckpt_disk_mb: Option<usize>,
-    /// `PSA_CKPT_LAYOUT` — on-disk checkpoint layout, `tiered`
-    /// (default) or `flat` (the legacy file-per-snapshot escape hatch).
-    pub ckpt_layout: Option<CkptLayout>,
     /// `PSA_FAULT_PLAN` — deterministic IO fault plan injected under
-    /// the checkpoint store (validated [`FaultPlan`] spec; testing and
-    /// CI machinery, see `docs/ROBUSTNESS.md`).
-    pub fault_plan: Option<String>,
+    /// the checkpoint store (testing and CI machinery, see
+    /// `docs/ROBUSTNESS.md`).
+    pub fault_plan: Option<FaultPlan>,
     /// `PSA_INJECT_PANIC` — fault-inject a panic into the named job
     /// (`<workload>` or `<workload>/<label>`; testing machinery).
     pub inject_panic: Option<String>,
@@ -153,6 +122,9 @@ pub struct RunnerOptions {
     /// `PSA_BENCH_JSON_DIR` — where `BENCH_*.json` documents go
     /// (`None`: the working directory).
     pub bench_json_dir: Option<PathBuf>,
+    /// `PSA_TRACE_FILE` — the `.psatrace` recording the trace-replay
+    /// figure streams (`None`: the committed sample fixture).
+    pub trace_file: Option<PathBuf>,
     /// `PSA_OBS=1` plus `PSA_OBS_RING` / `PSA_OBS_SAMPLE` — the
     /// observability layer shape ([`ObsConfig`]); `None` leaves the
     /// config's own (default: disabled) setting untouched.
@@ -162,17 +134,98 @@ pub struct RunnerOptions {
     pub obs_trace: Option<PathBuf>,
 }
 
+/// The `PSA_*` subset of an environment, with the strict parsers every
+/// knob kind shares.
+struct Vars(HashMap<String, String>);
+
+impl Vars {
+    /// Parse `key` with `f`; unset is `None`, a value `f` rejects is an
+    /// error naming the variable and the value.
+    fn parse<T>(
+        &self,
+        key: &str,
+        reason: &str,
+        f: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, SimError> {
+        let Some(raw) = self.0.get(key) else {
+            return Ok(None);
+        };
+        f(raw).map(Some).ok_or_else(|| SimError::EnvVar {
+            var: key.into(),
+            value: raw.clone(),
+            reason: reason.into(),
+        })
+    }
+
+    fn positive(&self, key: &str) -> Result<Option<usize>, SimError> {
+        self.parse(key, "expected a positive integer", |s| {
+            s.parse().ok().filter(|&n| n > 0)
+        })
+    }
+
+    fn u64(&self, key: &str) -> Result<Option<u64>, SimError> {
+        self.parse(key, "expected an unsigned integer", |s| s.parse().ok())
+    }
+
+    fn positive_u32(&self, key: &str) -> Result<Option<u32>, SimError> {
+        self.parse(key, "expected a positive 32-bit integer", |s| {
+            s.parse().ok().filter(|&n| n > 0)
+        })
+    }
+
+    fn flag(&self, key: &str) -> Result<Option<bool>, SimError> {
+        self.parse(key, "expected 0 or 1", |s| match s {
+            "1" => Some(true),
+            "0" => Some(false),
+            _ => None,
+        })
+    }
+
+    /// A value taken verbatim; unset or empty is `None`.
+    fn string(&self, key: &str) -> Option<String> {
+        self.0.get(key).filter(|s| !s.is_empty()).cloned()
+    }
+
+    fn path(&self, key: &str) -> Option<PathBuf> {
+        self.string(key).map(PathBuf::from)
+    }
+}
+
 impl RunnerOptions {
-    /// Read every documented `PSA_*` variable, strictly.
+    /// Read every documented `PSA_*` variable of the process environment,
+    /// strictly — see [`RunnerOptions::from_vars`]. Call it once, at
+    /// binary entry; nothing else in the workspace reads the environment.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::EnvVar`] naming the variable and the value
     /// when any set variable does not parse.
     pub fn from_env() -> Result<Self, SimError> {
-        let obs_on = env_flag("PSA_OBS")?;
-        let obs_ring = env_u32("PSA_OBS_RING")?;
-        let obs_sample = env_u32("PSA_OBS_SAMPLE")?;
+        Self::from_vars(
+            std::env::vars_os()
+                .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?))),
+        )
+    }
+
+    /// Parse the `PSA_*` knobs out of `(name, value)` pairs; other names
+    /// are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EnvVar`] naming the variable and the value
+    /// when any present variable does not parse.
+    pub fn from_vars<K: Into<String>, V: Into<String>>(
+        vars: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Self, SimError> {
+        let vars = Vars(
+            vars.into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .filter(|(k, _)| k.starts_with("PSA_"))
+                .collect(),
+        );
+        let obs_on = vars.flag("PSA_OBS")?;
+        let obs_ring = vars.positive_u32("PSA_OBS_RING")?;
+        let obs_sample = vars.positive_u32("PSA_OBS_SAMPLE")?;
         let obs = if obs_on.is_some() || obs_ring.is_some() || obs_sample.is_some() {
             let base = ObsConfig::default();
             Some(ObsConfig {
@@ -183,26 +236,44 @@ impl RunnerOptions {
         } else {
             None
         };
+        let fault_plan = match vars.string("PSA_FAULT_PLAN") {
+            None => None,
+            Some(raw) => Some(FaultPlan::parse(&raw).map_err(|reason| SimError::EnvVar {
+                var: "PSA_FAULT_PLAN".into(),
+                value: raw,
+                reason,
+            })?),
+        };
         Ok(Self {
-            threads: env_positive("PSA_THREADS")?,
-            workload_limit: env_positive("PSA_WORKLOAD_LIMIT")?,
-            mixes: env_positive("PSA_MIXES")?,
-            warmup: env_u64("PSA_WARMUP")?,
-            instructions: env_u64("PSA_INSTRUCTIONS")?,
-            watchdog: env_u64("PSA_WATCHDOG")?,
-            check: env_flag("PSA_CHECK")?,
-            json_runs: env_flag("PSA_JSON_RUNS")?.unwrap_or(false),
-            ckpt_mem_mb: env_positive("PSA_CKPT_MEM_MB")?,
-            ckpt_dir: env_path("PSA_CKPT_DIR"),
-            ckpt_disk_mb: env_positive("PSA_CKPT_DISK_MB")?,
-            ckpt_layout: env_layout("PSA_CKPT_LAYOUT")?,
-            fault_plan: env_fault_plan("PSA_FAULT_PLAN")?,
-            inject_panic: env_string("PSA_INJECT_PANIC"),
-            inject_stall: env_string("PSA_INJECT_STALL"),
-            update_golden: env_flag("PSA_UPDATE_GOLDEN")?.unwrap_or(false),
-            bench_json_dir: env_path("PSA_BENCH_JSON_DIR"),
+            threads: vars.positive("PSA_THREADS")?,
+            workload_limit: vars.positive("PSA_WORKLOAD_LIMIT")?,
+            mixes: vars.positive("PSA_MIXES")?,
+            warmup: vars.u64("PSA_WARMUP")?,
+            instructions: vars.u64("PSA_INSTRUCTIONS")?,
+            watchdog: vars.u64("PSA_WATCHDOG")?,
+            check: vars.flag("PSA_CHECK")?,
+            json_runs: vars.flag("PSA_JSON_RUNS")?.unwrap_or(false),
+            ckpt_mem_mb: vars.positive("PSA_CKPT_MEM_MB")?,
+            ckpt_dir: vars.path("PSA_CKPT_DIR"),
+            ckpt_disk_mb: vars.positive("PSA_CKPT_DISK_MB")?,
+            fault_plan,
+            inject_panic: vars.string("PSA_INJECT_PANIC"),
+            inject_stall: vars.string("PSA_INJECT_STALL"),
+            update_golden: vars.flag("PSA_UPDATE_GOLDEN")?.unwrap_or(false),
+            bench_json_dir: vars.path("PSA_BENCH_JSON_DIR"),
+            trace_file: vars.path("PSA_TRACE_FILE"),
             obs,
-            obs_trace: env_path("PSA_OBS_TRACE"),
+            obs_trace: vars.path("PSA_OBS_TRACE"),
+        })
+    }
+
+    /// [`RunnerOptions::from_env`] for binary entry points: a malformed
+    /// variable prints the error (naming the variable and the value) and
+    /// exits with status 2.
+    pub fn from_env_or_exit() -> Self {
+        Self::from_env().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
         })
     }
 
@@ -290,166 +361,6 @@ impl RunnerOptions {
     }
 }
 
-impl Settings {
-    /// The evaluated workload set, honouring `PSA_WORKLOAD_LIMIT` by
-    /// stride-sampling so each suite stays represented.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `PSA_WORKLOAD_LIMIT` is set but malformed — see
-    /// [`Settings::try_workloads`].
-    pub fn workloads(&self) -> Vec<&'static WorkloadSpec> {
-        self.try_workloads().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Settings::workloads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EnvVar`] when `PSA_WORKLOAD_LIMIT` is set but
-    /// not a positive integer.
-    pub fn try_workloads(&self) -> Result<Vec<&'static WorkloadSpec>, SimError> {
-        let all: Vec<&WorkloadSpec> = catalog::all().iter().collect();
-        match env_positive("PSA_WORKLOAD_LIMIT")? {
-            Some(limit) if limit < all.len() => {
-                let stride = all.len().div_ceil(limit);
-                Ok(all.into_iter().step_by(stride).collect())
-            }
-            _ => Ok(all),
-        }
-    }
-
-    /// Number of multi-core mixes, honouring `PSA_MIXES` (default 8;
-    /// the paper uses 100).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `PSA_MIXES` is set but malformed — see
-    /// [`Settings::try_mixes`].
-    pub fn mixes(&self) -> usize {
-        self.try_mixes().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Settings::mixes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EnvVar`] when `PSA_MIXES` is set but not a
-    /// positive integer.
-    pub fn try_mixes(&self) -> Result<usize, SimError> {
-        Ok(env_positive("PSA_MIXES")?.unwrap_or(8))
-    }
-}
-
-/// Parse an env var required to hold a positive integer; unset is `None`,
-/// set-but-malformed (including zero) is an error naming the variable and
-/// the value.
-fn env_positive(key: &str) -> Result<Option<usize>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected a positive integer".into(),
-            }),
-        },
-    }
-}
-
-/// Parse an env var required to hold a `u64`; unset is `None`,
-/// set-but-malformed is an error naming the variable and the value.
-fn env_u64(key: &str) -> Result<Option<u64>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<u64>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected an unsigned integer".into(),
-            }),
-        },
-    }
-}
-
-/// Parse an env var required to hold a positive `u32`; unset is `None`.
-fn env_u32(key: &str) -> Result<Option<u32>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.parse::<u32>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected a positive 32-bit integer".into(),
-            }),
-        },
-    }
-}
-
-/// Parse a checkpoint-layout env var: `tiered` or `flat`, unset is
-/// `None`, anything else is an error naming the variable and the value.
-fn env_layout(key: &str) -> Result<Option<CkptLayout>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.as_str() {
-            "tiered" => Ok(Some(CkptLayout::Tiered)),
-            "flat" => Ok(Some(CkptLayout::Flat)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected \"tiered\" or \"flat\"".into(),
-            }),
-        },
-    }
-}
-
-/// Parse (and validate) a fault-plan env var through
-/// [`FaultPlan::parse`]; the validated raw spec string is kept, since
-/// the plan itself is rebuilt wherever the store opens.
-fn env_fault_plan(key: &str) -> Result<Option<String>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match FaultPlan::parse(&raw) {
-            Ok(_) => Ok(Some(raw)),
-            Err(reason) => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason,
-            }),
-        },
-    }
-}
-
-/// Parse a boolean env flag: `1` is true, `0` is false, unset is `None`,
-/// anything else is an error naming the variable and the value.
-fn env_flag(key: &str) -> Result<Option<bool>, SimError> {
-    match std::env::var(key) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.as_str() {
-            "1" => Ok(Some(true)),
-            "0" => Ok(Some(false)),
-            _ => Err(SimError::EnvVar {
-                var: key.into(),
-                value: raw,
-                reason: "expected 0 or 1".into(),
-            }),
-        },
-    }
-}
-
-/// An env var taken verbatim as a path; unset (or non-unicode) is `None`.
-fn env_path(key: &str) -> Option<PathBuf> {
-    std::env::var_os(key).map(PathBuf::from)
-}
-
-/// An env var taken verbatim as a string; unset is `None`.
-fn env_string(key: &str) -> Option<String> {
-    std::env::var(key).ok()
-}
-
 /// Look up a workload in the trace catalog, reporting a miss as a typed
 /// error instead of an `expect` at every call site.
 ///
@@ -458,27 +369,6 @@ fn env_string(key: &str) -> Option<String> {
 /// Returns [`SimError::UnknownWorkload`] when `name` matches nothing.
 pub fn workload(name: &str) -> Result<&'static WorkloadSpec, SimError> {
     catalog::workload(name).ok_or_else(|| SimError::UnknownWorkload { name: name.into() })
-}
-
-/// Worker-thread count for parallel experiment execution: `PSA_THREADS`
-/// when set to a positive integer, else every available core.
-///
-/// # Panics
-///
-/// Panics when `PSA_THREADS` is set but malformed — see [`try_threads`].
-pub fn threads() -> usize {
-    try_threads().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`threads`].
-///
-/// # Errors
-///
-/// Returns [`SimError::EnvVar`] when `PSA_THREADS` is set but not a
-/// positive integer.
-pub fn try_threads() -> Result<usize, SimError> {
-    Ok(env_positive("PSA_THREADS")?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
 }
 
 /// What ran on the L2C prefetcher slot (or, for [`Variant::L1d`], which
@@ -608,289 +498,192 @@ impl RunOutcome {
     }
 }
 
-/// Simulate one `(workload, variant)` pair. Pure: the run owns its
-/// [`System`] and seeded RNG, so the result depends only on the
-/// arguments — this is what makes parallel execution bit-identical to
-/// serial. The warm-up goes through the checkpoint store
-/// ([`crate::ckpt::warm_via_checkpoint`]), which is transparent: a
-/// restored warm state is bit-identical to a freshly simulated one.
-fn try_simulate(
-    config: SimConfig,
-    workload: WorkloadRef,
-    variant: Variant,
-) -> Result<RunReport, SimError> {
-    let build_config = variant.build_config(config);
-    let build: Box<dyn Fn() -> Result<System, SimError>> =
-        Box::new(move || System::try_from_refs(build_config, &[workload]));
-    let label = variant.label();
-    // Finished-report memoisation: with the tiered disk store available
-    // (and observability off), a report computed by an earlier process
-    // at the same (config, workload, variant) key is served bit-identical
-    // from the store instead of re-simulated. The key hashes the
-    // pre-variant config plus the label, which encodes every config
-    // mutation a variant applies.
-    let memo_key = crate::ckpt::report_memo_enabled(&config)
-        .then(|| crate::ckpt::report_key(&config, workload.name(), &label));
-    if let Some(key) = memo_key {
-        let t0 = Instant::now();
-        let hit = crate::ckpt::report_from_store(key, workload.name());
-        record_phase_snapshot(t0.elapsed());
-        if let Some(report) = hit {
-            return Ok(report);
+/// Lock a mutex, recovering the data from a poisoned one: every guarded
+/// value here stays consistent across a panicking holder.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Add `elapsed` (in nanoseconds) to a time counter.
+pub(crate) fn add_time(counter: &AtomicU64, elapsed: Duration) {
+    counter.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+}
+
+fn nanos(counter: &AtomicU64) -> Duration {
+    Duration::from_nanos(counter.load(Ordering::Relaxed))
+}
+
+/// The executor's live counters (see [`ExecStats`] for their meaning).
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    simulated: AtomicU64,
+    memo_hits: AtomicU64,
+    busy: AtomicU64,
+    wall: AtomicU64,
+    sim_cycles: AtomicU64,
+    queue_peak: AtomicU64,
+    failed: AtomicU64,
+    watchdog_aborted: AtomicU64,
+    batch_wall: AtomicU64,
+    pub(crate) warmups_shared: AtomicU64,
+    pub(crate) ckpt_hits: AtomicU64,
+    pub(crate) phase_warm: AtomicU64,
+    pub(crate) phase_measure: AtomicU64,
+    pub(crate) phase_snapshot: AtomicU64,
+    per_thread: Mutex<Vec<u64>>,
+}
+
+/// One journalled failure: workload, label (the variant label for
+/// memoised jobs, the caller's [`JobSpec::label`] otherwise), reason, and
+/// whether the watchdog aborted it.
+type FailureRecord = (&'static str, String, String, bool);
+
+/// The simulation context of one process (or one test): base
+/// configuration, options, checkpoint/result store, statistics and
+/// journals. Build it once with [`Executor::new`] and pass `&Executor`
+/// to every figure and [`RunCache`]; it is `Sync`, so worker threads and
+/// server jobs share it.
+pub struct Executor {
+    /// The base machine/run configuration: Table I plus the instruction
+    /// budget, with the options' run-shape subset applied.
+    pub config: SimConfig,
+    /// The options this executor was built from.
+    pub opts: RunnerOptions,
+    /// The checkpoint/result store, opened on first use.
+    store: Mutex<Option<Backend>>,
+    pub(crate) stats: Counters,
+    failures: Mutex<Vec<FailureRecord>>,
+    runs: Mutex<Vec<(&'static str, Variant, RunReport)>>,
+    trace_written: AtomicBool,
+}
+
+impl Executor {
+    /// An executor over `opts`, on the laptop-scale default budget
+    /// (40K warm-up + 120K measured instructions per core; the options'
+    /// budgets scale it towards the paper's 250M+250M).
+    pub fn new(opts: RunnerOptions) -> Executor {
+        let base = SimConfig::default()
+            .with_warmup(40_000)
+            .with_instructions(120_000);
+        Executor {
+            config: opts.apply(base),
+            opts,
+            store: Mutex::new(None),
+            stats: Counters::default(),
+            failures: Mutex::new(Vec::new()),
+            runs: Mutex::new(Vec::new()),
+            trace_written: AtomicBool::new(false),
         }
     }
-    let sys = crate::ckpt::warm_via_checkpoint(&*build, &label)?;
-    let t0 = Instant::now();
-    let result = sys.try_run_observed();
-    record_phase(&G_PHASE_MEASURE_NANOS, t0.elapsed());
-    let (report, obs) = result?;
-    if let Some(obs) = obs {
-        maybe_write_trace(&obs);
-    }
-    if let Some(key) = memo_key {
-        let t0 = Instant::now();
-        crate::ckpt::report_to_store(key, &report);
-        record_phase_snapshot(t0.elapsed());
-    }
-    Ok(report)
-}
 
-/// Write the first observed run's Chrome `trace_event` JSON to
-/// `PSA_OBS_TRACE` / [`RunnerOptions::obs_trace`]. One trace per process:
-/// the first measured run to finish wins, which is deterministic under
-/// `PSA_THREADS=1` and representative otherwise. Lenient: unset means no
-/// trace, and an unwritable path is a warning, not a failed run.
-fn maybe_write_trace(obs: &ObsReport) {
-    static TRACE_ONCE: Once = Once::new();
-    let Some(path) = env_path("PSA_OBS_TRACE") else {
-        return;
-    };
-    TRACE_ONCE.call_once(|| {
-        if let Err(e) = std::fs::write(&path, obs.to_chrome_trace()) {
-            eprintln!("PSA_OBS_TRACE: cannot write {}: {e}", path.display());
+    /// The evaluated workload set, honouring the workload limit by
+    /// stride-sampling so each suite stays represented.
+    pub fn workloads(&self) -> Vec<&'static WorkloadSpec> {
+        let all: Vec<&WorkloadSpec> = catalog::all().iter().collect();
+        match self.opts.workload_limit {
+            Some(limit) if limit < all.len() => {
+                let stride = all.len().div_ceil(limit);
+                all.into_iter().step_by(stride).collect()
+            }
+            _ => all,
         }
-    });
-}
-
-/// Whether the fault-injection variable `var` targets this job: its value
-/// is either the workload name or `<workload>/<label>`.
-fn inject_match_label(var: &str, workload: &str, label: &str) -> bool {
-    std::env::var(var).is_ok_and(|v| v == workload || v == format!("{workload}/{label}"))
-}
-
-/// [`inject_match_label`] keyed by a memoised [`Variant`].
-fn inject_match(var: &str, workload: &str, variant: Variant) -> bool {
-    inject_match_label(var, workload, &variant.label())
-}
-
-/// Extract a printable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).into()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
     }
-}
 
-/// Run one job in isolation: panics are caught, simulator errors are
-/// values, and either becomes a [`RunOutcome::Failed`] row. The fault
-/// never escapes to the batch.
-fn run_job(config: SimConfig, workload: WorkloadRef, variant: Variant) -> RunOutcome {
-    let mut config = config;
-    if inject_match("PSA_INJECT_STALL", workload.name(), variant) {
-        // Threshold 1: the run aborts via the watchdog almost immediately
-        // (nothing retires before the ROB fills; nothing drains before the
-        // first fill matures).
-        config.watchdog_cycles = 1;
+    /// Number of multi-core mixes (default 8; the paper uses 100).
+    pub fn mixes(&self) -> usize {
+        self.opts.mixes.unwrap_or(8)
     }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if inject_match("PSA_INJECT_PANIC", workload.name(), variant) {
-            panic!("injected panic (PSA_INJECT_PANIC)");
+
+    /// Run `f` on the checkpoint/result store, opening it on first use
+    /// (opening the tiered store runs its recovery-on-open scan).
+    pub(crate) fn with_store<R>(&self, f: impl FnOnce(&mut Backend) -> R) -> R {
+        let mut store = self.store.lock().expect("unpoisoned checkpoint store");
+        f(store.get_or_insert_with(|| Backend::open(&self.opts)))
+    }
+
+    /// Record a failed job in the failure journal and the counters.
+    pub(crate) fn journal_failure(
+        &self,
+        workload: &'static str,
+        label: String,
+        reason: &str,
+        watchdog: bool,
+    ) {
+        self.stats.failed.fetch_add(1, Ordering::Relaxed);
+        if watchdog {
+            self.stats.watchdog_aborted.fetch_add(1, Ordering::Relaxed);
         }
-        try_simulate(config, workload, variant)
-    }));
-    let failed = |reason: String, watchdog: bool| RunOutcome::Failed {
-        workload: workload.name(),
-        variant,
-        reason,
-        watchdog,
-    };
-    match result {
-        Ok(Ok(report)) => RunOutcome::Ok(Box::new(report)),
-        Ok(Err(e)) => {
-            let watchdog = matches!(e, SimError::WatchdogStall(_));
-            failed(e.to_string(), watchdog)
-        }
-        Err(payload) => failed(format!("panic: {}", panic_message(payload)), false),
+        lock(&self.failures).push((workload, label, reason.into(), watchdog));
     }
-}
 
-// Process-wide executor counters, aggregated across every RunCache and
-// parallel_map so a bench binary can report one summary.
-static G_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static G_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static G_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_WALL_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-static G_QUEUE_PEAK: AtomicU64 = AtomicU64::new(0);
-static G_FAILED: AtomicU64 = AtomicU64::new(0);
-static G_WATCHDOG: AtomicU64 = AtomicU64::new(0);
-static G_BATCH_WALL_NANOS: AtomicU64 = AtomicU64::new(0);
-
-// Phase wall-time profiler: where worker time goes, split into warm-up
-// simulation, the measured run, and checkpoint/snapshot I/O. Summed
-// across threads, so the three can exceed batch wall time.
-static G_PHASE_WARM_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_PHASE_MEASURE_NANOS: AtomicU64 = AtomicU64::new(0);
-static G_PHASE_SNAPSHOT_NANOS: AtomicU64 = AtomicU64::new(0);
-
-fn record_phase(phase: &AtomicU64, elapsed: Duration) {
-    phase.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-}
-
-/// Charge `elapsed` to the warm-up simulation phase (called by the
-/// checkpoint store when it actually simulates a warm-up).
-pub(crate) fn record_phase_warm(elapsed: Duration) {
-    record_phase(&G_PHASE_WARM_NANOS, elapsed);
-}
-
-/// Charge `elapsed` to the snapshot-I/O phase (checkpoint encode, decode,
-/// restore, and file traffic).
-pub(crate) fn record_phase_snapshot(elapsed: Duration) {
-    record_phase(&G_PHASE_SNAPSHOT_NANOS, elapsed);
-}
-
-/// In-memory checkpoint store cap in bytes (`PSA_CKPT_MEM_MB`, default
-/// 256MB). Deliberately lenient — a malformed value falls back to the
-/// default rather than failing runs mid-batch; [`RunnerOptions::from_env`]
-/// is the strict reading of the same variable.
-pub(crate) fn ckpt_mem_cap_bytes() -> usize {
-    std::env::var("PSA_CKPT_MEM_MB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(256)
-        .saturating_mul(1 << 20)
-}
-
-/// On-disk checkpoint store directory (`PSA_CKPT_DIR`); `None` disables
-/// the disk tier.
-pub(crate) fn ckpt_disk_dir() -> Option<PathBuf> {
-    env_path("PSA_CKPT_DIR")
-}
-
-/// Disk-tier budget of the tiered checkpoint store in bytes
-/// (`PSA_CKPT_DISK_MB`, default 2048MB). Lenient like the other
-/// checkpoint knobs; [`RunnerOptions::from_env`] is the strict reading.
-pub(crate) fn ckpt_disk_cap_bytes() -> u64 {
-    std::env::var("PSA_CKPT_DISK_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(2048)
-        .saturating_mul(1 << 20)
-}
-
-/// On-disk checkpoint layout (`PSA_CKPT_LAYOUT`). Lenient: anything but
-/// the exact legacy selector `flat` means the tiered default.
-pub(crate) fn ckpt_layout() -> CkptLayout {
-    if std::env::var("PSA_CKPT_LAYOUT").is_ok_and(|v| v == "flat") {
-        CkptLayout::Flat
-    } else {
-        CkptLayout::Tiered
+    /// Every failure this executor has journalled, as the documented
+    /// `failures` array: `{workload, variant, reason, watchdog}` objects,
+    /// deduplicated and sorted by (workload, variant label). Serialises
+    /// to exactly `"failures": []` when every job completed.
+    pub fn failures_json(&self) -> Json {
+        render_failures(lock(&self.failures).iter().cloned())
     }
-}
 
-/// Raw deterministic fault-plan spec for the checkpoint store
-/// (`PSA_FAULT_PLAN`), unparsed; `None` when unset or empty. Strict
-/// validation lives in [`RunnerOptions::from_env`].
-pub(crate) fn fault_plan_spec() -> Option<String> {
-    std::env::var("PSA_FAULT_PLAN")
-        .ok()
-        .filter(|s| !s.is_empty())
-}
-
-/// Where emitted `BENCH_*.json` documents go (`PSA_BENCH_JSON_DIR`,
-/// default: the working directory). Lenient by the same argument as the
-/// checkpoint-store knobs: a malformed value must not fail runs
-/// mid-batch, and [`RunnerOptions::from_env`] is the strict reading.
-pub fn bench_json_dir() -> PathBuf {
-    env_path("PSA_BENCH_JSON_DIR").unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// The trace file the trace-replay figure streams. Defaults to the
-/// committed sample fixture next to this crate's golden digests;
-/// `PSA_TRACE_FILE` points the figure at a different `.psatrace`.
-/// Lenient like [`bench_json_dir`]: the strict reading happens when the
-/// file is opened and verified, not here.
-pub fn trace_replay_path() -> PathBuf {
-    env_path("PSA_TRACE_FILE").unwrap_or_else(|| {
-        PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/sample.psatrace"
-        ))
-    })
-}
-
-// Process-wide failure journal: every failed job, so [`doc`] can embed
-// the `"failures"` array even when the cache lives inside a `collect()`.
-// Keyed by (workload, label): memoised jobs use the variant label,
-// `parallel_map_isolated` jobs their caller-supplied one.
-#[allow(clippy::type_complexity)]
-static G_FAILURES: Mutex<Vec<(&'static str, String, String, bool)>> = Mutex::new(Vec::new());
-
-pub(crate) fn journal_failure(workload: &'static str, label: String, reason: &str, watchdog: bool) {
-    G_FAILED.fetch_add(1, Ordering::Relaxed);
-    if watchdog {
-        G_WATCHDOG.fetch_add(1, Ordering::Relaxed);
-    }
-    G_FAILURES
-        .lock()
-        .expect("unpoisoned failure journal")
-        .push((workload, label, reason.into(), watchdog));
-}
-
-/// The process-wide failure journal as a JSON array of
-/// `{workload, variant, reason, watchdog}`, deduplicated and sorted by
-/// (workload, variant label). Empty — serialising to exactly
-/// `"failures": []` — when every job so far completed.
-pub fn failures_json() -> Json {
-    let journal = G_FAILURES.lock().expect("unpoisoned failure journal");
-    render_failures(journal.iter())
-}
-
-/// A mark into the process-wide failure journal: everything journalled
-/// from now on is "after" this mark. Pair with [`failures_json_since`]
-/// to scope a document's `failures` array to one job's own runs in a
-/// long-lived process (a server), where the process journal accumulates
-/// across unrelated jobs.
-pub fn failures_mark() -> usize {
-    G_FAILURES.lock().expect("unpoisoned failure journal").len()
-}
-
-/// Like [`failures_json`], but restricted to failures journalled at or
-/// after `mark` ([`failures_mark`]) whose workload is in `workloads` —
-/// the failures attributable to one job's own batch.
-pub fn failures_json_since(mark: usize, workloads: &[&str]) -> Json {
-    let journal = G_FAILURES.lock().expect("unpoisoned failure journal");
-    render_failures(
-        journal
+    /// Every simulation this executor ran, as a JSON array of
+    /// `{workload, variant, report}` sorted by (workload, variant label).
+    /// Empty unless [`RunnerOptions::json_runs`] is set.
+    pub fn journal_json(&self) -> Json {
+        let journal = lock(&self.runs);
+        let entries: BTreeMap<(&'static str, String), &RunReport> = journal
             .iter()
-            .skip(mark)
-            .filter(|(w, ..)| workloads.iter().any(|x| x == w)),
-    )
+            .map(|(w, v, r)| ((*w, v.label()), r))
+            .collect();
+        runs_array(entries.into_iter().map(|((w, label), r)| (w, label, r)))
+    }
+
+    /// A snapshot of the execution statistics.
+    pub fn stats(&self) -> ExecStats {
+        let c = &self.stats;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        ExecStats {
+            threads: self.opts.effective_threads(),
+            simulated: load(&c.simulated),
+            memo_hits: load(&c.memo_hits),
+            busy: nanos(&c.busy),
+            wall: nanos(&c.wall),
+            sim_cycles: load(&c.sim_cycles),
+            queue_peak: load(&c.queue_peak),
+            per_thread: lock(&c.per_thread).clone(),
+            failed: load(&c.failed),
+            watchdog_aborted: load(&c.watchdog_aborted),
+            batch_wall: nanos(&c.batch_wall),
+            warmups_shared: load(&c.warmups_shared),
+            ckpt_hits: load(&c.ckpt_hits),
+            phase_warm: nanos(&c.phase_warm),
+            phase_measure: nanos(&c.phase_measure),
+            phase_snapshot: nanos(&c.phase_snapshot),
+            store: psa_common::obs::store::global().snapshot(),
+        }
+    }
+
+    /// Write the first observed run's Chrome `trace_event` JSON to
+    /// [`RunnerOptions::obs_trace`]. One trace per executor: the first
+    /// measured run to finish wins, which is deterministic with one
+    /// thread and representative otherwise. An unwritable path is a
+    /// warning, not a failed run.
+    fn write_trace(&self, obs: &ObsReport) {
+        let Some(path) = &self.opts.obs_trace else {
+            return;
+        };
+        if !self.trace_written.swap(true, Ordering::Relaxed) {
+            if let Err(e) = std::fs::write(path, obs.to_chrome_trace()) {
+                eprintln!("PSA_OBS_TRACE: cannot write {}: {e}", path.display());
+            }
+        }
+    }
 }
 
-/// Deduplicate (last record wins) and sort journal records into the
+/// Deduplicate (last record wins) and sort failure records into the
 /// documented `failures` array shape.
-fn render_failures<'a>(
-    records: impl Iterator<Item = &'a (&'static str, String, String, bool)>,
-) -> Json {
-    let mut entries: std::collections::BTreeMap<(&'static str, String), (String, bool)> =
-        std::collections::BTreeMap::new();
-    for (w, label, reason, watchdog) in records {
-        entries.insert((w, label.clone()), (reason.clone(), *watchdog));
-    }
+fn render_failures(records: impl Iterator<Item = FailureRecord>) -> Json {
+    let entries: BTreeMap<(&'static str, String), (String, bool)> = records
+        .map(|(w, label, reason, watchdog)| ((w, label), (reason, watchdog)))
+        .collect();
     Json::Arr(
         entries
             .into_iter()
@@ -906,48 +699,12 @@ fn render_failures<'a>(
     )
 }
 
-fn record_global(simulated: u64, memo_hits: u64, busy: Duration, wall: Duration, cycles: u64) {
-    G_SIMULATED.fetch_add(simulated, Ordering::Relaxed);
-    G_MEMO_HITS.fetch_add(memo_hits, Ordering::Relaxed);
-    G_BUSY_NANOS.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    G_WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-    G_SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
-}
-
-// Process-wide run journal: every simulation a RunCache executes is
-// recorded here when `PSA_JSON_RUNS=1`, so [`doc`] can embed the raw
-// reports even when the cache lives inside a `collect()` call.
-static G_RUNS: Mutex<Vec<((&'static str, Variant), RunReport)>> = Mutex::new(Vec::new());
-
-fn json_runs_enabled() -> bool {
-    std::env::var("PSA_JSON_RUNS").is_ok_and(|v| v == "1")
-}
-
-fn journal_run(workload: &'static str, variant: Variant, report: &RunReport) {
-    if json_runs_enabled() {
-        G_RUNS
-            .lock()
-            .expect("unpoisoned journal")
-            .push(((workload, variant), report.clone()));
-    }
-}
-
-/// The process-wide run journal as a JSON array of
-/// `{workload, variant, report}`, deduplicated (a pair re-simulated by a
-/// later cache yields the identical report) and sorted by
-/// (workload, variant label). Empty unless `PSA_JSON_RUNS=1` was set
-/// while the runs executed.
-pub fn journal_json() -> Json {
-    let journal = G_RUNS.lock().expect("unpoisoned journal");
-    let mut entries: std::collections::BTreeMap<(&'static str, String), &RunReport> =
-        std::collections::BTreeMap::new();
-    for ((w, v), r) in journal.iter() {
-        entries.insert((w, v.label()), r);
-    }
+/// Sorted `(workload, variant label, report)` entries as the JSON array
+/// of `{workload, variant, report}` objects.
+fn runs_array<'r>(entries: impl Iterator<Item = (&'static str, String, &'r RunReport)>) -> Json {
     Json::Arr(
         entries
-            .into_iter()
-            .map(|((w, label), r)| {
+            .map(|(w, label, r)| {
                 Json::obj([
                     ("workload", Json::str(w)),
                     ("variant", Json::str(label)),
@@ -958,56 +715,164 @@ pub fn journal_json() -> Json {
     )
 }
 
-/// Execution statistics of one [`RunCache`] (or, via [`global_stats`], the
-/// whole process).
+/// Simulate one `(workload, variant)` pair. Pure: the run owns its
+/// [`System`] and seeded RNG, so the result depends only on the
+/// arguments — this is what makes parallel execution bit-identical to
+/// serial. The warm-up goes through the checkpoint store
+/// ([`crate::ckpt::warm_via_checkpoint`]), which is transparent: a
+/// restored warm state is bit-identical to a freshly simulated one.
+fn try_simulate(
+    exec: &Executor,
+    config: SimConfig,
+    workload: WorkloadRef,
+    variant: Variant,
+) -> Result<RunReport, SimError> {
+    let build_config = variant.build_config(config);
+    let build = move || System::try_from_refs(build_config, &[workload]);
+    let label = variant.label();
+    // Finished-report memoisation: with the tiered disk store available
+    // (and observability off), a report computed by an earlier process
+    // at the same (config, workload, variant) key is served bit-identical
+    // from the store instead of re-simulated. The key hashes the
+    // pre-variant config plus the label, which encodes every config
+    // mutation a variant applies.
+    let memo_key = crate::ckpt::memo_enabled(exec, &config)
+        .then(|| crate::ckpt::report_key(&config, workload.name(), &label));
+    if let Some(key) = memo_key {
+        if let Some(report) = crate::ckpt::report_from_store(exec, key, workload.name()) {
+            return Ok(report);
+        }
+    }
+    let sys = crate::ckpt::warm_via_checkpoint(exec, &build, &label)?;
+    let t0 = Instant::now();
+    let result = sys.try_run_observed();
+    add_time(&exec.stats.phase_measure, t0.elapsed());
+    let (report, obs) = result?;
+    if let Some(obs) = obs {
+        exec.write_trace(&obs);
+    }
+    if let Some(key) = memo_key {
+        crate::ckpt::report_to_store(exec, key, &report);
+    }
+    Ok(report)
+}
+
+/// Whether the fault-injection target `target` names this job: either
+/// the workload name or `<workload>/<label>`.
+fn injected(target: &Option<String>, workload: &str, label: &str) -> bool {
+    target
+        .as_deref()
+        .is_some_and(|t| t == workload || t == format!("{workload}/{label}"))
+}
+
+/// Extract a printable message from a caught panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).into()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".into()
+    }
+}
+
+/// Run one job body in isolation: the executor's fault injection applies
+/// (a stall through [`JobEnv::config`], a panic inside the guard), panics
+/// are caught, and any failure becomes `Err((reason, watchdog))`. The
+/// fault never escapes to the batch.
+fn isolated<R>(
+    exec: &Executor,
+    workload: &str,
+    label: &str,
+    f: impl FnOnce(&JobEnv) -> Result<R, SimError>,
+) -> Result<R, (String, bool)> {
+    let env = JobEnv {
+        stall: injected(&exec.opts.inject_stall, workload, label),
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if injected(&exec.opts.inject_panic, workload, label) {
+            panic!("injected panic (PSA_INJECT_PANIC)");
+        }
+        f(&env)
+    }));
+    match result {
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(e)) => {
+            let watchdog = matches!(e, SimError::WatchdogStall(_));
+            Err((e.to_string(), watchdog))
+        }
+        Err(payload) => Err((format!("panic: {}", panic_message(payload)), false)),
+    }
+}
+
+/// Run one memoised job in isolation; a fault becomes a
+/// [`RunOutcome::Failed`] row.
+fn run_job(
+    exec: &Executor,
+    config: SimConfig,
+    workload: WorkloadRef,
+    variant: Variant,
+) -> RunOutcome {
+    match isolated(exec, workload.name(), &variant.label(), |env| {
+        try_simulate(exec, env.config(config), workload, variant)
+    }) {
+        Ok(report) => RunOutcome::Ok(Box::new(report)),
+        Err((reason, watchdog)) => RunOutcome::Failed {
+            workload: workload.name(),
+            variant,
+            reason,
+            watchdog,
+        },
+    }
+}
+
+/// A snapshot of an [`Executor`]'s statistics ([`Executor::stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
+    /// Worker-thread count of the executor's parallel pool.
+    pub threads: usize,
     /// Simulations actually executed.
     pub simulated: u64,
-    /// `run()`/`speedup()` calls served from the memo instead.
+    /// `run()`/`speedup()` calls served from a run-cache memo instead.
     pub memo_hits: u64,
     /// Summed per-run wall-clock (CPU-side work across all threads).
     pub busy: Duration,
-    /// Wall-clock spent inside `run()`/`run_batch()` (elapsed time).
+    /// Wall-clock spent inside the parallel pool (elapsed time).
     pub wall: Duration,
-    /// Simulated cycles across executed runs.
+    /// Simulated cycles across executed memoised runs.
     pub sim_cycles: u64,
-    /// Deepest work queue handed to the executor at once.
+    /// Deepest work queue handed to the pool at once.
     pub queue_peak: u64,
-    /// Runs executed by each worker thread of the largest pool used.
+    /// Jobs executed by each worker thread, summed over every pool run.
     pub per_thread: Vec<u64>,
-    /// Jobs that ended in a [`RunOutcome::Failed`] (panic, watchdog stall
-    /// or validation error) instead of a report.
+    /// Jobs that ended in a failure (panic, watchdog stall or validation
+    /// error) instead of a result.
     pub failed: u64,
     /// The subset of `failed` aborted by the forward-progress watchdog.
     pub watchdog_aborted: u64,
-    /// Wall-clock spent inside `run_batch()` specifically (a subset of
-    /// `wall`): the number the checkpoint-determinism CI gate compares
-    /// between cold and warm passes.
+    /// Wall-clock spent inside [`RunCache::run_batch`] specifically (a
+    /// subset of `wall`): the number the checkpoint-determinism CI gate
+    /// compares between cold and warm passes.
     pub batch_wall: Duration,
-    /// Warm-ups skipped by restoring an in-memory checkpoint taken
-    /// earlier in this process. Process-scope: populated by
-    /// [`global_stats`], zero on per-cache stats (the store is shared).
+    /// Warm-ups skipped by restoring a checkpoint from the store's memory
+    /// tier.
     pub warmups_shared: u64,
-    /// Jobs served from the on-disk checkpoint/result store
-    /// (`PSA_CKPT_DIR`): warm-ups restored from disk plus finished
-    /// reports memoised by an earlier process. Process-scope, like
-    /// `warmups_shared`.
+    /// Jobs served from the on-disk checkpoint/result store: warm-ups
+    /// restored from disk plus finished reports and documents memoised by
+    /// an earlier process.
     pub ckpt_hits: u64,
-    /// Worker time spent simulating warm-ups. Process-scope, like
-    /// `warmups_shared`; summed across threads, so the three phases can
-    /// exceed `batch_wall`.
+    /// Worker time spent simulating warm-ups. Summed across threads, so
+    /// the three phases can exceed `batch_wall`.
     pub phase_warm: Duration,
-    /// Worker time spent in measured runs. Process-scope.
+    /// Worker time spent in measured runs.
     pub phase_measure: Duration,
     /// Worker time spent on checkpoint/snapshot I/O (encode, decode,
-    /// restore, file traffic). Process-scope.
+    /// restore, store traffic).
     pub phase_snapshot: Duration,
     /// Storage-tier counters of the tiered checkpoint/result store
     /// (hits, misses, retries, quarantined entries, recovered bytes,
-    /// write failures, injected faults). Process-scope: populated by
-    /// [`global_stats`] from the always-on `psa_common::obs::store`
-    /// counters, zero on per-cache stats.
+    /// write failures, injected faults), from the `psa-store` counters
+    /// in `psa_common::obs::store`.
     pub store: StoreSnapshot,
 }
 
@@ -1064,7 +929,7 @@ impl ExecStats {
     /// documents).
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("threads", Json::uint(threads() as u64)),
+            ("threads", Json::uint(self.threads as u64)),
             ("simulated_runs", Json::uint(self.simulated)),
             ("memo_hits", Json::uint(self.memo_hits)),
             ("wall_seconds", Json::Num(self.wall.as_secs_f64())),
@@ -1114,98 +979,70 @@ impl ExecStats {
     }
 }
 
-/// Snapshot of the process-wide executor counters (every [`RunCache`] and
-/// [`parallel_map`] contributes).
-pub fn global_stats() -> ExecStats {
-    ExecStats {
-        simulated: G_SIMULATED.load(Ordering::Relaxed),
-        memo_hits: G_MEMO_HITS.load(Ordering::Relaxed),
-        busy: Duration::from_nanos(G_BUSY_NANOS.load(Ordering::Relaxed)),
-        wall: Duration::from_nanos(G_WALL_NANOS.load(Ordering::Relaxed)),
-        sim_cycles: G_SIM_CYCLES.load(Ordering::Relaxed),
-        queue_peak: G_QUEUE_PEAK.load(Ordering::Relaxed),
-        per_thread: Vec::new(),
-        failed: G_FAILED.load(Ordering::Relaxed),
-        watchdog_aborted: G_WATCHDOG.load(Ordering::Relaxed),
-        batch_wall: Duration::from_nanos(G_BATCH_WALL_NANOS.load(Ordering::Relaxed)),
-        warmups_shared: crate::ckpt::G_WARMUPS_SHARED.load(Ordering::Relaxed),
-        ckpt_hits: crate::ckpt::G_CKPT_HITS.load(Ordering::Relaxed),
-        phase_warm: Duration::from_nanos(G_PHASE_WARM_NANOS.load(Ordering::Relaxed)),
-        phase_measure: Duration::from_nanos(G_PHASE_MEASURE_NANOS.load(Ordering::Relaxed)),
-        phase_snapshot: Duration::from_nanos(G_PHASE_SNAPSHOT_NANOS.load(Ordering::Relaxed)),
-        store: psa_common::obs::store::global().snapshot(),
-    }
-}
-
-/// Map `f` over `items` on the experiment thread pool, preserving input
-/// order in the results (and therefore producing output identical to a
-/// serial `items.iter().map(f)`).
-///
-/// Used by experiments whose runs don't fit the `(workload, variant)` memo
-/// key — custom Set-Dueling shapes, doubled-storage modules, multi-core
-/// mixes. `f` must be pure for the order-independence to hold.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = threads().min(items.len());
+/// Map `f` over `items` on the executor's worker pool (a work queue over
+/// `std::thread::scope`; inline when one worker suffices), preserving
+/// input order — so the output is identical to a serial
+/// `items.iter().map(f)` whenever `f` is pure. Records the pool's wall,
+/// busy, queue-peak and per-thread counters; every item counts as one
+/// executed simulation.
+fn pool_map<T: Sync, R: Send>(exec: &Executor, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = exec.opts.effective_threads().min(items.len()).max(1);
     let started = Instant::now();
+    let next = AtomicUsize::new(0);
     let busy = AtomicU64::new(0);
-    let out = if workers <= 1 {
-        items
-            .iter()
-            .map(|item| {
-                let t0 = Instant::now();
-                let r = f(item);
-                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                r
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let t0 = Instant::now();
-                    let r = f(item);
-                    busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    *slots[i].lock().expect("unpoisoned slot") = Some(r);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("unpoisoned slot")
-                    .expect("slot filled")
-            })
-            .collect()
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || {
+        let mut ran = 0u64;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break ran };
+            let t0 = Instant::now();
+            let r = f(item);
+            add_time(&busy, t0.elapsed());
+            *lock(&slots[i]) = Some(r);
+            ran += 1;
+        }
     };
-    G_QUEUE_PEAK.fetch_max(items.len() as u64, Ordering::Relaxed);
-    // Simulated cycles stay 0 here: `R` is opaque, so only the memoising
-    // cache can attribute cycles. The job count still counts as executed
-    // simulations in every experiment that uses this helper.
-    record_global(
-        items.len() as u64,
-        0,
-        Duration::from_nanos(busy.load(Ordering::Relaxed)),
-        started.elapsed(),
-        0,
-    );
-    out
+    let per_thread: Vec<u64> = if workers == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("pool worker panicked"))
+                .collect()
+        })
+    };
+    let c = &exec.stats;
+    c.simulated.fetch_add(items.len() as u64, Ordering::Relaxed);
+    c.queue_peak
+        .fetch_max(items.len() as u64, Ordering::Relaxed);
+    c.busy.fetch_add(busy.into_inner(), Ordering::Relaxed);
+    add_time(&c.wall, started.elapsed());
+    let mut counts = lock(&c.per_thread);
+    if counts.len() < per_thread.len() {
+        counts.resize(per_thread.len(), 0);
+    }
+    for (total, ran) in counts.iter_mut().zip(per_thread) {
+        *total += ran;
+    }
+    drop(counts);
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every slot is filled")
+        })
+        .collect()
 }
 
 /// Identity of one custom-configured simulation job — the jobs that do
 /// not fit the `(workload, variant)` memo key space (custom Set-Dueling
 /// shapes, doubled-storage modules, multi-core mixes). The label joins
-/// the workload name in fault-injection matching
-/// (`PSA_INJECT_*=<workload>/<label>`) and in the `failures` journal.
+/// the workload name in fault-injection matching (`<workload>/<label>`)
+/// and in the `failures` journal.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The workload driving the run (the first core's, for mixes).
@@ -1215,9 +1052,9 @@ pub struct JobSpec {
     pub label: String,
 }
 
-/// The fault-injection environment resolved for one isolated job. The
-/// job body must pass its run configuration through [`JobEnv::config`]
-/// so an injected stall can take effect.
+/// The fault injection resolved for one isolated job. The job body must
+/// pass its run configuration through [`JobEnv::config`] so an injected
+/// stall can take effect.
 #[derive(Debug, Clone, Copy)]
 pub struct JobEnv {
     stall: bool,
@@ -1226,7 +1063,8 @@ pub struct JobEnv {
 impl JobEnv {
     /// `config` with the injected environment applied: a stall injection
     /// drops the watchdog threshold to 1 cycle, so the run aborts via
-    /// the watchdog almost immediately.
+    /// the watchdog almost immediately (nothing retires before the ROB
+    /// fills; nothing drains before the first fill matures).
     pub fn config(&self, config: SimConfig) -> SimConfig {
         let mut config = config;
         if self.stall {
@@ -1236,106 +1074,83 @@ impl JobEnv {
     }
 }
 
-/// [`parallel_map`] with per-job fault isolation, for simulation jobs
-/// outside the memoised `(workload, variant)` space.
+/// Map `f` over `items` on the executor's worker pool with per-job fault
+/// isolation, for simulation jobs outside the memoised `(workload,
+/// variant)` space. Results keep input order, so the output matches a
+/// serial map whenever `f` is pure.
 ///
 /// Each job is described by `spec` (workload + unique label) and executed
 /// by `f` under [`std::panic::catch_unwind`]; `f` reports simulator
 /// faults as [`SimError`] values and must thread its `SimConfig` through
 /// [`JobEnv::config`]. A failed job yields `None` in its slot — the
 /// figure renders the survivors with an explicit gap — and lands in the
-/// process-wide failure journal ([`failures_json`]), exactly like a
-/// failed memoised job. `PSA_INJECT_PANIC` / `PSA_INJECT_STALL` match
-/// `<workload>` or `<workload>/<label>`.
-pub fn parallel_map_isolated<T, R, S, F>(items: &[T], spec: S, f: F) -> Vec<Option<R>>
+/// executor's failure journal ([`Executor::failures_json`]), exactly
+/// like a failed memoised job. [`RunnerOptions::inject_panic`] /
+/// [`RunnerOptions::inject_stall`] match `<workload>` or
+/// `<workload>/<label>`.
+pub fn parallel_map_isolated<T, R, S, F>(
+    exec: &Executor,
+    items: &[T],
+    spec: S,
+    f: F,
+) -> Vec<Option<R>>
 where
     T: Sync,
     R: Send,
     S: Fn(&T) -> JobSpec + Sync,
     F: Fn(&T, &JobEnv) -> Result<R, SimError> + Sync,
 {
-    parallel_map(items, |item| {
+    pool_map(exec, items, |item| {
         let s = spec(item);
-        let env = JobEnv {
-            stall: inject_match_label("PSA_INJECT_STALL", s.workload, &s.label),
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if inject_match_label("PSA_INJECT_PANIC", s.workload, &s.label) {
-                panic!("injected panic (PSA_INJECT_PANIC)");
-            }
-            f(item, &env)
-        }));
-        match result {
-            Ok(Ok(r)) => Some(r),
-            Ok(Err(e)) => {
-                let watchdog = matches!(e, SimError::WatchdogStall(_));
-                journal_failure(s.workload, s.label, &e.to_string(), watchdog);
-                None
-            }
-            Err(payload) => {
-                journal_failure(
-                    s.workload,
-                    s.label,
-                    &format!("panic: {}", panic_message(payload)),
-                    false,
-                );
-                None
-            }
-        }
+        isolated(exec, s.workload, &s.label, |env| f(item, env))
+            .map_err(|(reason, watchdog)| {
+                exec.journal_failure(s.workload, s.label, &reason, watchdog)
+            })
+            .ok()
     })
 }
 
-/// A memoising single-core run cache: each (workload, variant) simulates
-/// once per experiment, no matter how many reductions consume it. Failed
-/// jobs are memoised too — a fault is as deterministic as a report, and
-/// retrying it would just fail again.
-#[derive(Default)]
-pub struct RunCache {
+/// A memoising single-core run cache over one [`Executor`] and one run
+/// configuration: each `(workload, variant)` simulates once per cache, no
+/// matter how many reductions consume it. Failed jobs are memoised too —
+/// a fault is as deterministic as a report, and retrying it would just
+/// fail again. Every method takes its workload as anything convertible
+/// into a [`WorkloadRef`], so synthetic specs and trace replays mix
+/// freely.
+pub struct RunCache<'e> {
+    exec: &'e Executor,
+    config: SimConfig,
     runs: HashMap<(&'static str, Variant), RunOutcome>,
-    stats: ExecStats,
 }
 
-impl RunCache {
-    /// Fresh cache.
-    pub fn new() -> Self {
-        Self::default()
+impl<'e> RunCache<'e> {
+    /// A fresh cache running every job on `exec` under `config` (the
+    /// memo keys on `(workload, variant)` alone, so the configuration is
+    /// bound here, once).
+    pub fn new(exec: &'e Executor, config: SimConfig) -> Self {
+        RunCache {
+            exec,
+            config,
+            runs: HashMap::new(),
+        }
     }
 
-    /// Execution statistics accumulated by this cache.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    fn record(&mut self, simulated: u64, busy: Duration, wall: Duration, cycles: u64) {
-        self.stats.simulated += simulated;
-        self.stats.busy += busy;
-        self.stats.wall += wall;
-        self.stats.sim_cycles += cycles;
-        record_global(simulated, 0, busy, wall, cycles);
-    }
-
-    fn record_batch_wall(&mut self, wall: Duration) {
-        self.stats.batch_wall += wall;
-        G_BATCH_WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Memoise `outcome`, journalling it (run journal or failure journal)
-    /// and bumping the failure counters as appropriate. Returns the
-    /// simulated-cycle contribution (0 for failures).
+    /// Memoise `outcome`, journalling it in the executor (run journal or
+    /// failure journal). Returns the simulated-cycle contribution (0 for
+    /// failures).
     fn admit(&mut self, name: &'static str, v: Variant, outcome: RunOutcome) -> u64 {
         let cycles = match &outcome {
             RunOutcome::Ok(report) => {
-                journal_run(name, v, report);
+                if self.exec.opts.json_runs {
+                    lock(&self.exec.runs).push((name, v, (**report).clone()));
+                }
                 report.cycles
             }
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => {
-                self.stats.failed += 1;
-                if *watchdog {
-                    self.stats.watchdog_aborted += 1;
-                }
-                journal_failure(name, v.label(), reason, *watchdog);
+                self.exec
+                    .journal_failure(name, v.label(), reason, *watchdog);
                 0
             }
         };
@@ -1344,24 +1159,14 @@ impl RunCache {
     }
 
     /// Simulate every not-yet-cached `(workload, variant)` pair of `jobs`
-    /// in parallel (work-queue over `PSA_THREADS` workers), then serve all
-    /// of them from the memo. Results are bit-identical to running the
-    /// same jobs serially, in any order: each run is independent and owns
-    /// its seeded RNG. A panicking or watchdog-stalled job becomes a
-    /// [`RunOutcome::Failed`] entry; the rest of the batch completes
-    /// unperturbed.
-    pub fn run_batch(
-        &mut self,
-        config: SimConfig,
-        jobs: &[(&'static WorkloadSpec, Variant)],
-    ) -> usize {
-        self.run_batch_with(config, jobs, &|_, _| {})
-    }
-
-    /// [`RunCache::run_batch`] over typed [`WorkloadRef`] jobs —
-    /// synthetic specs and trace replays mix freely in one batch.
-    pub fn run_batch_refs(&mut self, config: SimConfig, jobs: &[(WorkloadRef, Variant)]) -> usize {
-        self.run_batch_refs_with(config, jobs, &|_, _| {})
+    /// on the executor's worker pool, then serve all of them from the
+    /// memo. Results are bit-identical to running the same jobs serially,
+    /// in any order: each run is independent and owns its seeded RNG. A
+    /// panicking or watchdog-stalled job becomes a [`RunOutcome::Failed`]
+    /// entry; the rest of the batch completes unperturbed. Returns the
+    /// number of jobs executed.
+    pub fn run_batch<W: Into<WorkloadRef> + Copy>(&mut self, jobs: &[(W, Variant)]) -> usize {
+        self.run_batch_with(jobs, &|_, _| {})
     }
 
     /// [`RunCache::run_batch`] with a progress hook: `progress(done,
@@ -1370,189 +1175,73 @@ impl RunCache {
     /// arrive out of order, but each value 1..=total fires exactly once
     /// and `total` is the batch's not-yet-cached job count). The hook
     /// must not panic; it runs inside the worker loop.
-    pub fn run_batch_with(
+    pub fn run_batch_with<W: Into<WorkloadRef> + Copy>(
         &mut self,
-        config: SimConfig,
-        jobs: &[(&'static WorkloadSpec, Variant)],
+        jobs: &[(W, Variant)],
         progress: &(dyn Fn(u64, u64) + Sync),
     ) -> usize {
-        let jobs: Vec<(WorkloadRef, Variant)> = jobs
+        let mut queued = HashSet::new();
+        let todo: Vec<(WorkloadRef, Variant)> = jobs
             .iter()
-            .map(|&(w, v)| (WorkloadRef::from(w), v))
+            .map(|&(w, v)| (w.into(), v))
+            .filter(|&(w, v)| {
+                !self.runs.contains_key(&(w.name(), v)) && queued.insert((w.name(), v))
+            })
             .collect();
-        self.run_batch_refs_with(config, &jobs, progress)
-    }
-
-    /// [`RunCache::run_batch_with`] over typed [`WorkloadRef`] jobs —
-    /// the executor's real entry point; the spec-based form is sugar.
-    pub fn run_batch_refs_with(
-        &mut self,
-        config: SimConfig,
-        jobs: &[(WorkloadRef, Variant)],
-        progress: &(dyn Fn(u64, u64) + Sync),
-    ) -> usize {
-        let mut todo: Vec<(WorkloadRef, Variant)> = Vec::new();
-        let mut queued: std::collections::HashSet<(&'static str, Variant)> =
-            std::collections::HashSet::new();
-        for &(w, v) in jobs {
-            if !self.runs.contains_key(&(w.name(), v)) && queued.insert((w.name(), v)) {
-                todo.push((w, v));
-            }
-        }
         if todo.is_empty() {
             return 0;
         }
-        self.stats.queue_peak = self.stats.queue_peak.max(todo.len() as u64);
-        G_QUEUE_PEAK.fetch_max(todo.len() as u64, Ordering::Relaxed);
-
-        let workers = threads().min(todo.len());
-        let started = Instant::now();
-        if workers <= 1 {
-            let mut busy = Duration::ZERO;
-            let mut cycles = 0;
-            for (i, &(w, v)) in todo.iter().enumerate() {
-                let t0 = Instant::now();
-                let outcome = run_job(config, w, v);
-                busy += t0.elapsed();
-                cycles += self.admit(w.name(), v, outcome);
-                progress(i as u64 + 1, todo.len() as u64);
-            }
-            if self.stats.per_thread.is_empty() {
-                self.stats.per_thread = vec![0];
-            }
-            self.stats.per_thread[0] += todo.len() as u64;
-            self.record_batch_wall(started.elapsed());
-            self.record(todo.len() as u64, busy, started.elapsed(), cycles);
-            return todo.len();
-        }
-
-        let next = AtomicUsize::new(0);
+        let (exec, config) = (self.exec, self.config);
+        let total = todo.len() as u64;
         let finished = AtomicU64::new(0);
-        let done: Mutex<Vec<(usize, RunOutcome, Duration)>> = Mutex::new(Vec::new());
-        let mut thread_runs = vec![0u64; workers];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, RunOutcome, Duration)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(w, v)) = todo.get(i) else { break };
-                            let t0 = Instant::now();
-                            let outcome = run_job(config, w, v);
-                            local.push((i, outcome, t0.elapsed()));
-                            let done_now = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                            progress(done_now, todo.len() as u64);
-                        }
-                        let count = local.len() as u64;
-                        done.lock().expect("unpoisoned results").extend(local);
-                        count
-                    })
-                })
-                .collect();
-            for (t, handle) in handles.into_iter().enumerate() {
-                thread_runs[t] = handle.join().expect("worker panicked");
-            }
+        let started = Instant::now();
+        let outcomes = pool_map(exec, &todo, |&(w, v)| {
+            let outcome = run_job(exec, config, w, v);
+            progress(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
+            outcome
         });
-
-        let mut results = done.into_inner().expect("unpoisoned results");
-        results.sort_by_key(|&(i, _, _)| i);
-        let mut busy = Duration::ZERO;
         let mut cycles = 0;
-        let n = results.len();
-        for (i, outcome, dur) in results {
-            busy += dur;
-            let (w, v) = todo[i];
+        for (&(w, v), outcome) in todo.iter().zip(outcomes) {
             cycles += self.admit(w.name(), v, outcome);
         }
-        if self.stats.per_thread.len() < workers {
-            self.stats.per_thread.resize(workers, 0);
-        }
-        for (t, &count) in thread_runs.iter().enumerate() {
-            self.stats.per_thread[t] += count;
-        }
-        self.record_batch_wall(started.elapsed());
-        self.record(n as u64, busy, started.elapsed(), cycles);
-        n
+        exec.stats.sim_cycles.fetch_add(cycles, Ordering::Relaxed);
+        add_time(&exec.stats.batch_wall, started.elapsed());
+        todo.len()
     }
 
     /// Simulate (or recall) `workload` under `variant`, keeping the fault
     /// as a value.
-    pub fn outcome(
-        &mut self,
-        config: SimConfig,
-        workload: &'static WorkloadSpec,
-        variant: Variant,
-    ) -> &RunOutcome {
-        self.outcome_ref(config, WorkloadRef::from(workload), variant)
-    }
-
-    /// [`RunCache::outcome`] over a typed [`WorkloadRef`].
-    pub fn outcome_ref(
-        &mut self,
-        config: SimConfig,
-        workload: WorkloadRef,
-        variant: Variant,
-    ) -> &RunOutcome {
-        if self.runs.contains_key(&(workload.name(), variant)) {
-            self.stats.memo_hits += 1;
-            G_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+    pub fn outcome(&mut self, workload: impl Into<WorkloadRef>, variant: Variant) -> &RunOutcome {
+        let workload = workload.into();
+        let key = (workload.name(), variant);
+        if self.runs.contains_key(&key) {
+            self.exec.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
         } else {
-            let t0 = Instant::now();
-            let outcome = run_job(config, workload, variant);
-            let dur = t0.elapsed();
-            let cycles = self.admit(workload.name(), variant, outcome);
-            if self.stats.per_thread.is_empty() {
-                self.stats.per_thread = vec![0];
-            }
-            self.stats.per_thread[0] += 1;
-            self.record(1, dur, dur, cycles);
+            self.run_batch(&[(workload, variant)]);
         }
-        &self.runs[&(workload.name(), variant)]
+        &self.runs[&key]
     }
 
     /// Whether `(workload, variant)` is cached with a completed report —
     /// figures use this to render explicit gaps for failed jobs.
-    pub fn completed(&self, workload: &'static WorkloadSpec, variant: Variant) -> bool {
-        self.completed_name(workload.name, variant)
-    }
-
-    /// [`RunCache::completed`] keyed by workload name (what the memo
-    /// actually keys on; trace names embed their content hash).
-    pub fn completed_name(&self, name: &'static str, variant: Variant) -> bool {
-        matches!(self.runs.get(&(name, variant)), Some(RunOutcome::Ok(_)))
-    }
-
-    /// [`RunCache::completed`] over a typed [`WorkloadRef`].
-    pub fn completed_ref(&self, workload: WorkloadRef, variant: Variant) -> bool {
-        self.completed_name(workload.name(), variant)
-    }
-
-    /// The subset of `refs` for which every listed variant completed —
-    /// the ref-based analogue of [`RunCache::surviving`].
-    pub fn surviving_refs(&self, refs: &[WorkloadRef], variants: &[Variant]) -> Vec<WorkloadRef> {
-        refs.iter()
-            .filter(|r| variants.iter().all(|&v| self.completed_ref(**r, v)))
-            .copied()
-            .collect()
+    pub fn completed(&self, workload: impl Into<WorkloadRef>, variant: Variant) -> bool {
+        let key = (workload.into().name(), variant);
+        matches!(self.runs.get(&key), Some(RunOutcome::Ok(_)))
     }
 
     /// The subset of `workloads` for which every listed variant completed
     /// (after a `run_batch` of the cross product): the rows a figure can
     /// still render. A shrunken result is the "partial results with
     /// explicit gaps" contract — the failures themselves are in
-    /// [`failures_json`].
-    pub fn surviving<'w>(
+    /// [`RunCache::failures_json`].
+    pub fn surviving<W: Into<WorkloadRef> + Copy>(
         &self,
-        workloads: &[&'w WorkloadSpec],
+        workloads: &[W],
         variants: &[Variant],
-    ) -> Vec<&'w WorkloadSpec>
-    where
-        'w: 'static,
-    {
+    ) -> Vec<W> {
         workloads
             .iter()
-            .filter(|w| variants.iter().all(|&v| self.completed(w, v)))
+            .filter(|&&w| variants.iter().all(|&v| self.completed(w, v)))
             .copied()
             .collect()
     }
@@ -1563,27 +1252,8 @@ impl RunCache {
     ///
     /// Panics (with the recorded reason) when the job failed — callers
     /// that tolerate gaps use [`RunCache::outcome`] / [`RunCache::completed`].
-    pub fn run(
-        &mut self,
-        config: SimConfig,
-        workload: &'static WorkloadSpec,
-        variant: Variant,
-    ) -> &RunReport {
-        self.run_ref(config, WorkloadRef::from(workload), variant)
-    }
-
-    /// [`RunCache::run`] over a typed [`WorkloadRef`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the recorded reason) when the job failed.
-    pub fn run_ref(
-        &mut self,
-        config: SimConfig,
-        workload: WorkloadRef,
-        variant: Variant,
-    ) -> &RunReport {
-        match self.outcome_ref(config, workload, variant) {
+    pub fn run(&mut self, workload: impl Into<WorkloadRef>, variant: Variant) -> &RunReport {
+        match self.outcome(workload, variant) {
             RunOutcome::Ok(report) => report,
             RunOutcome::Failed {
                 workload,
@@ -1595,26 +1265,10 @@ impl RunCache {
     }
 
     /// IPC ratio of `num` over `den` for one workload.
-    pub fn speedup(
-        &mut self,
-        config: SimConfig,
-        workload: &'static WorkloadSpec,
-        num: Variant,
-        den: Variant,
-    ) -> f64 {
-        self.speedup_ref(config, WorkloadRef::from(workload), num, den)
-    }
-
-    /// [`RunCache::speedup`] over a typed [`WorkloadRef`].
-    pub fn speedup_ref(
-        &mut self,
-        config: SimConfig,
-        workload: WorkloadRef,
-        num: Variant,
-        den: Variant,
-    ) -> f64 {
-        let n = self.run_ref(config, workload, num).ipc();
-        let d = self.run_ref(config, workload, den).ipc();
+    pub fn speedup(&mut self, workload: impl Into<WorkloadRef>, num: Variant, den: Variant) -> f64 {
+        let workload = workload.into();
+        let n = self.run(workload, num).ipc();
+        let d = self.run(workload, den).ipc();
         if d <= 0.0 {
             1.0
         } else {
@@ -1624,7 +1278,7 @@ impl RunCache {
 
     /// Every cached completed run as a JSON array of
     /// `{workload, variant, report}`, sorted by (workload, variant label)
-    /// for stable output. Failed jobs are in [`failures_json`], not here.
+    /// for stable output. Failed jobs are in [`RunCache::failures_json`].
     pub fn runs_json(&self) -> Json {
         let mut entries: Vec<(&'static str, String, &RunReport)> = self
             .runs
@@ -1632,17 +1286,33 @@ impl RunCache {
             .filter_map(|(&(w, v), outcome)| outcome.report().map(|r| (w, v.label(), r)))
             .collect();
         entries.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        Json::Arr(
-            entries
-                .into_iter()
-                .map(|(w, label, r)| {
-                    Json::obj([
-                        ("workload", Json::str(w)),
-                        ("variant", Json::str(label)),
-                        ("report", report::run_report(r)),
-                    ])
-                })
-                .collect(),
+        runs_array(entries.into_iter())
+    }
+
+    /// This cache's own failed jobs, in the documented `failures` shape.
+    pub fn failures_json(&self) -> Json {
+        render_failures(self.runs.values().filter_map(|outcome| match outcome {
+            RunOutcome::Failed {
+                workload,
+                variant,
+                reason,
+                watchdog,
+            } => Some((*workload, variant.label(), reason.clone(), *watchdog)),
+            RunOutcome::Ok(_) => None,
+        }))
+    }
+
+    /// The standard document (see [`doc`]) for work done by this cache
+    /// alone: its configuration, and its own failures — what a server
+    /// job serves.
+    pub fn doc(&self, figure: &str, title: &str, rows: Json) -> Json {
+        render_doc(
+            self.exec,
+            figure,
+            title,
+            &self.config,
+            rows,
+            self.failures_json(),
         )
     }
 }
@@ -1652,23 +1322,27 @@ impl RunCache {
 pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// Assemble the standard `BENCH_<figure>.json` document: schema version,
-/// figure id and title, the run configuration, the figure-specific `rows`,
-/// the process-wide `failures` journal (empty on a clean process), and
-/// the process-wide executor statistics. With `PSA_JSON_RUNS=1` the raw
-/// per-run reports executed so far ride along under `"runs"` (see
-/// [`journal_json`]).
-pub fn doc(figure: &str, title: &str, settings: &Settings, rows: Json) -> Json {
-    doc_with_failures(figure, title, settings, rows, failures_json())
+/// figure id and title, the executor's base configuration, the
+/// figure-specific `rows`, every failure the executor journalled (empty
+/// on a clean run), and the executor statistics. With
+/// [`RunnerOptions::json_runs`] the raw per-run reports executed so far
+/// ride along under `"runs"` (see [`Executor::journal_json`]).
+pub fn doc(figure: &str, title: &str, exec: &Executor, rows: Json) -> Json {
+    render_doc(
+        exec,
+        figure,
+        title,
+        &exec.config,
+        rows,
+        exec.failures_json(),
+    )
 }
 
-/// [`doc`] with a caller-supplied `failures` array — for long-lived
-/// processes that scope failures to one job via [`failures_mark`] /
-/// [`failures_json_since`] instead of embedding the whole process
-/// journal.
-pub fn doc_with_failures(
+fn render_doc(
+    exec: &Executor,
     figure: &str,
     title: &str,
-    settings: &Settings,
+    config: &SimConfig,
     rows: Json,
     failures: Json,
 ) -> Json {
@@ -1676,61 +1350,56 @@ pub fn doc_with_failures(
         ("schema_version", Json::uint(BENCH_SCHEMA_VERSION)),
         ("figure", Json::str(figure)),
         ("title", Json::str(title)),
-        ("config", report::sim_config(&settings.config)),
+        ("config", report::sim_config(config)),
         ("rows", rows),
         ("failures", failures),
-        ("executor", global_stats().to_json()),
+        ("executor", exec.stats().to_json()),
     ]);
-    if json_runs_enabled() {
-        doc.push("runs", journal_json());
+    if exec.opts.json_runs {
+        doc.push("runs", exec.journal_json());
     }
     doc
 }
 
-/// Serialises tests (across the whole crate) that mutate process-global
-/// environment variables such as `PSA_WORKLOAD_LIMIT` or `PSA_THREADS`.
-#[cfg(test)]
-pub(crate) fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::test_env_lock as env_lock;
     use super::*;
 
-    fn quick() -> SimConfig {
-        SimConfig::default()
-            .with_warmup(1_000)
-            .with_instructions(4_000)
+    /// An executor on the tests' quick budget over `opts`.
+    fn quick(opts: RunnerOptions) -> Executor {
+        Executor::new(opts.with_warmup(1_000).with_instructions(4_000))
+    }
+
+    fn lbm() -> &'static WorkloadSpec {
+        catalog::workload("lbm").unwrap()
     }
 
     #[test]
     fn cache_memoises_and_counts() {
-        let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
-        let a = cache.run(quick(), w, Variant::NoPrefetch).ipc();
-        let b = cache.run(quick(), w, Variant::NoPrefetch).ipc();
+        let exec = quick(RunnerOptions::default());
+        let mut cache = RunCache::new(&exec, exec.config);
+        let a = cache.run(lbm(), Variant::NoPrefetch).ipc();
+        let b = cache.run(lbm(), Variant::NoPrefetch).ipc();
         assert_eq!(a, b);
         assert_eq!(cache.runs.len(), 1);
         // The second run() must be a memo hit, not a re-simulation.
-        assert_eq!(cache.stats().simulated, 1);
-        assert_eq!(cache.stats().memo_hits, 1);
+        assert_eq!(exec.stats().simulated, 1);
+        assert_eq!(exec.stats().memo_hits, 1);
     }
 
     #[test]
     fn batch_skips_cached_and_duplicate_jobs() {
-        let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
-        cache.run(quick(), w, Variant::NoPrefetch);
+        let exec = quick(RunnerOptions::default());
+        let mut cache = RunCache::new(&exec, exec.config);
+        let w = lbm();
+        cache.run(w, Variant::NoPrefetch);
         let jobs = vec![
             (w, Variant::NoPrefetch), // already cached
             (w, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)),
             (w, Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa)), // duplicate
         ];
-        assert_eq!(cache.run_batch(quick(), &jobs), 1);
-        assert_eq!(cache.stats().simulated, 2);
+        assert_eq!(cache.run_batch(&jobs), 1);
+        assert_eq!(exec.stats().simulated, 2);
     }
 
     #[test]
@@ -1749,20 +1418,18 @@ mod tests {
             .flat_map(|&w| variants.iter().map(move |&v| (w, v)))
             .collect();
 
-        let _guard = env_lock();
-        // Serial reference.
-        let mut serial = RunCache::new();
-        std::env::set_var("PSA_THREADS", "1");
-        serial.run_batch(quick(), &jobs);
-        // Parallel (work-queue over at least 3 workers).
-        std::env::set_var("PSA_THREADS", "3");
-        let mut parallel = RunCache::new();
-        parallel.run_batch(quick(), &jobs);
-        std::env::remove_var("PSA_THREADS");
+        // Serial reference, then a work queue over 3 workers.
+        let serial_exec = quick(RunnerOptions::default().with_threads(1));
+        let mut serial = RunCache::new(&serial_exec, serial_exec.config);
+        serial.run_batch(&jobs);
+        let parallel_exec = quick(RunnerOptions::default().with_threads(3));
+        let mut parallel = RunCache::new(&parallel_exec, parallel_exec.config);
+        parallel.run_batch(&jobs);
+        assert_eq!(parallel_exec.stats().per_thread.len(), 3);
 
         for &(w, v) in &jobs {
-            let a = serial.run(quick(), w, v).clone();
-            let b = parallel.run(quick(), w, v).clone();
+            let a = serial.run(w, v).clone();
+            let b = parallel.run(w, v).clone();
             assert_eq!(
                 a,
                 b,
@@ -1774,22 +1441,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let _guard = env_lock();
+    fn parallel_map_isolated_preserves_order() {
+        let exec = quick(RunnerOptions::default().with_threads(4));
         let items: Vec<u64> = (0..37).collect();
-        std::env::set_var("PSA_THREADS", "4");
-        let out = parallel_map(&items, |&x| x * x);
-        std::env::remove_var("PSA_THREADS");
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        let out = parallel_map_isolated(
+            &exec,
+            &items,
+            |_| JobSpec {
+                workload: "lbm",
+                label: "square".into(),
+            },
+            |&x, _| Ok(x * x),
+        );
+        let want: Vec<Option<u64>> = items.iter().map(|&x| Some(x * x)).collect();
+        assert_eq!(out, want);
+        assert_eq!(exec.stats().simulated, 37);
     }
 
     #[test]
     fn speedup_is_ratio() {
-        let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
+        let exec = quick(RunnerOptions::default());
+        let mut cache = RunCache::new(&exec, exec.config);
         let s = cache.speedup(
-            quick(),
-            w,
+            lbm(),
             Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::Psa),
             Variant::NoPrefetch,
         );
@@ -1798,23 +1472,20 @@ mod tests {
 
     #[test]
     fn workload_selection_honours_limit() {
-        let _guard = env_lock();
-        let settings = Settings::default();
-        let all = settings.workloads();
-        assert_eq!(all.len(), 80);
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "10");
-        let some = settings.workloads();
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
+        assert_eq!(
+            Executor::new(RunnerOptions::default()).workloads().len(),
+            80
+        );
+        let some = Executor::new(RunnerOptions::default().with_workload_limit(10)).workloads();
         assert!(some.len() <= 10 && some.len() >= 8, "got {}", some.len());
     }
 
     #[test]
     fn runs_json_and_doc_are_well_formed() {
-        let mut cache = RunCache::new();
-        let w = catalog::workload("lbm").unwrap();
+        let exec = quick(RunnerOptions::default());
+        let mut cache = RunCache::new(&exec, exec.config);
         cache.run(
-            quick(),
-            w,
+            lbm(),
             Variant::Pref(PrefetcherKind::Spp, PageSizePolicy::PsaSd),
         );
         let runs = cache.runs_json();
@@ -1823,8 +1494,7 @@ mod tests {
         assert_eq!(entry.get("variant").unwrap().as_str(), Some("SPP-PSA-SD"));
         assert!(entry.get("report").unwrap().get("ipc").is_some());
 
-        let settings = Settings { config: quick() };
-        let doc = doc("figXX", "smoke", &settings, Json::Arr(vec![]));
+        let doc = doc("figXX", "smoke", &exec, Json::Arr(vec![]));
         for field in [
             "schema_version",
             "figure",
@@ -1837,6 +1507,7 @@ mod tests {
             assert!(doc.get(field).is_some(), "missing {field}");
         }
         assert_eq!(doc.get("schema_version").unwrap(), &Json::uint(4));
+        assert_eq!(doc.get("failures").unwrap(), &Json::Arr(vec![]));
         // Schema v3: the executor section carries the phase profile.
         let phases = doc.get("executor").unwrap().get("phases").unwrap();
         for field in ["warmup_seconds", "measure_seconds", "snapshot_io_seconds"] {
@@ -1860,12 +1531,29 @@ mod tests {
     }
 
     #[test]
+    fn json_runs_embeds_the_executor_run_journal() {
+        let opts = RunnerOptions {
+            json_runs: true,
+            ..RunnerOptions::default()
+        };
+        let exec = quick(opts);
+        RunCache::new(&exec, exec.config).run(lbm(), Variant::NoPrefetch);
+        let doc = doc("figXX", "smoke", &exec, Json::Arr(vec![]));
+        let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
+        assert_eq!(runs.len(), 1);
+        assert_eq!(
+            runs[0].get("variant").unwrap().as_str(),
+            Some("no-prefetch")
+        );
+    }
+
+    #[test]
     fn phase_profile_accounts_for_run_time() {
-        let mut cache = RunCache::new();
-        let w = catalog::workload("astar").unwrap();
-        cache.run(quick(), w, Variant::NoPrefetch);
-        let stats = global_stats();
-        // This process just simulated a warm-up and a measured run, so
+        let exec = quick(RunnerOptions::default());
+        RunCache::new(&exec, exec.config)
+            .run(catalog::workload("astar").unwrap(), Variant::NoPrefetch);
+        let stats = exec.stats();
+        // This executor just simulated a warm-up and a measured run, so
         // both phases must have accumulated wall time.
         assert!(stats.phase_warm > Duration::ZERO, "warm phase untimed");
         assert!(
@@ -1876,56 +1564,32 @@ mod tests {
 
     #[test]
     fn strict_env_parsing_reports_the_offender() {
-        let _guard = env_lock();
-        std::env::set_var("PSA_THREADS", "banana");
-        let e = try_threads().unwrap_err();
-        std::env::remove_var("PSA_THREADS");
-        match e {
-            SimError::EnvVar { var, value, .. } => {
-                assert_eq!(var, "PSA_THREADS");
-                assert_eq!(value, "banana");
-            }
-            other => panic!("expected EnvVar, got {other}"),
-        }
-
-        // Settings::default() would itself panic on a malformed variable
-        // (it routes through RunnerOptions::from_env), so probe the
-        // fallible accessors on an explicit value.
-        let settings = Settings { config: quick() };
-        std::env::set_var("PSA_WORKLOAD_LIMIT", "0");
-        let e = settings.try_workloads().unwrap_err();
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
-        assert!(e.to_string().contains("PSA_WORKLOAD_LIMIT"), "{e}");
-
-        std::env::set_var("PSA_MIXES", "-3");
-        let e = settings.try_mixes().unwrap_err();
-        std::env::remove_var("PSA_MIXES");
-        assert!(e.to_string().contains("-3"), "{e}");
-
-        // The consolidated reader is just as strict, for every knob kind:
-        // flags, u64 budgets, and the u32 observability shape.
+        // Every knob kind is strict: positive counts, flags, u64 budgets,
+        // the u32 observability shape, store budgets and the fault plan.
         for (var, value) in [
+            ("PSA_THREADS", "banana"),
+            ("PSA_WORKLOAD_LIMIT", "0"),
+            ("PSA_MIXES", "-3"),
             ("PSA_OBS", "yes"),
             ("PSA_CHECK", "true"),
             ("PSA_WARMUP", "10k"),
             ("PSA_OBS_RING", "0"),
             ("PSA_OBS_SAMPLE", "-1"),
             ("PSA_CKPT_DISK_MB", "0"),
-            ("PSA_CKPT_LAYOUT", "shallow"),
             ("PSA_FAULT_PLAN", "torn=2.0"),
         ] {
-            std::env::set_var(var, value);
-            let e = RunnerOptions::from_env().unwrap_err();
-            std::env::remove_var(var);
-            let msg = e.to_string();
-            assert!(msg.contains(var) && msg.contains(value), "{msg}");
+            match RunnerOptions::from_vars([(var, value)]).unwrap_err() {
+                SimError::EnvVar {
+                    var: v, value: raw, ..
+                } => assert_eq!((v.as_str(), raw.as_str()), (var, value)),
+                other => panic!("expected EnvVar, got {other}"),
+            }
         }
     }
 
     #[test]
     fn runner_options_read_the_whole_environment() {
-        let _guard = env_lock();
-        for (var, value) in [
+        let opts = RunnerOptions::from_vars([
             ("PSA_THREADS", "3"),
             ("PSA_WARMUP", "500"),
             ("PSA_INSTRUCTIONS", "2000"),
@@ -1935,38 +1599,16 @@ mod tests {
             ("PSA_CKPT_MEM_MB", "64"),
             ("PSA_CKPT_DIR", "/tmp/ckpt"),
             ("PSA_CKPT_DISK_MB", "512"),
-            ("PSA_CKPT_LAYOUT", "flat"),
             ("PSA_FAULT_PLAN", "seed=3,eio=0.1"),
             ("PSA_INJECT_PANIC", "lbm"),
+            ("PSA_TRACE_FILE", "/tmp/x.psatrace"),
             ("PSA_OBS", "1"),
             ("PSA_OBS_RING", "128"),
             ("PSA_OBS_SAMPLE", "4"),
             ("PSA_OBS_TRACE", "/tmp/trace.json"),
-        ] {
-            std::env::set_var(var, value);
-        }
-        let opts = RunnerOptions::from_env();
-        for var in [
-            "PSA_THREADS",
-            "PSA_WARMUP",
-            "PSA_INSTRUCTIONS",
-            "PSA_WATCHDOG",
-            "PSA_CHECK",
-            "PSA_JSON_RUNS",
-            "PSA_CKPT_MEM_MB",
-            "PSA_CKPT_DIR",
-            "PSA_CKPT_DISK_MB",
-            "PSA_CKPT_LAYOUT",
-            "PSA_FAULT_PLAN",
-            "PSA_INJECT_PANIC",
-            "PSA_OBS",
-            "PSA_OBS_RING",
-            "PSA_OBS_SAMPLE",
-            "PSA_OBS_TRACE",
-        ] {
-            std::env::remove_var(var);
-        }
-        let opts = opts.expect("every variable parses");
+            ("HOME", "/ignored"),
+        ])
+        .expect("every variable parses");
         assert_eq!(opts.threads, Some(3));
         assert_eq!(opts.effective_threads(), 3);
         assert_eq!((opts.warmup, opts.instructions), (Some(500), Some(2000)));
@@ -1974,21 +1616,18 @@ mod tests {
         assert_eq!(opts.check, Some(true));
         assert!(opts.json_runs);
         assert_eq!(opts.ckpt_mem_mb, Some(64));
-        assert_eq!(
-            opts.ckpt_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/ckpt"))
-        );
+        assert_eq!(opts.ckpt_dir, Some(PathBuf::from("/tmp/ckpt")));
         assert_eq!(opts.ckpt_disk_mb, Some(512));
-        assert_eq!(opts.ckpt_layout, Some(CkptLayout::Flat));
-        assert_eq!(opts.fault_plan.as_deref(), Some("seed=3,eio=0.1"));
+        assert_eq!(
+            opts.fault_plan,
+            Some(FaultPlan::parse("seed=3,eio=0.1").unwrap())
+        );
         assert_eq!(opts.inject_panic.as_deref(), Some("lbm"));
+        assert_eq!(opts.trace_file, Some(PathBuf::from("/tmp/x.psatrace")));
         let obs = opts.obs.expect("PSA_OBS* sets the obs shape");
         assert!(obs.enabled);
         assert_eq!((obs.ring_capacity, obs.sample_every), (128, 4));
-        assert_eq!(
-            opts.obs_trace.as_deref(),
-            Some(std::path::Path::new("/tmp/trace.json"))
-        );
+        assert_eq!(opts.obs_trace, Some(PathBuf::from("/tmp/trace.json")));
 
         // apply() threads the run-shape subset into a SimConfig…
         let cfg = opts.apply(SimConfig::default());
@@ -2001,17 +1640,17 @@ mod tests {
         assert_eq!(untouched.warmup, cfg.warmup);
         assert_eq!(untouched.obs, cfg.obs);
         assert!(untouched.check);
+        // An empty environment is the default options value.
+        let none: [(&str, &str); 0] = [];
+        assert_eq!(
+            RunnerOptions::from_vars(none).unwrap(),
+            RunnerOptions::default()
+        );
     }
 
     #[test]
     fn programmatic_options_override_the_environment() {
-        let _guard = env_lock();
-        std::env::set_var("PSA_WARMUP", "111");
-        std::env::set_var("PSA_OBS", "1");
-        let opts = RunnerOptions::from_env();
-        std::env::remove_var("PSA_WARMUP");
-        std::env::remove_var("PSA_OBS");
-        let opts = opts
+        let opts = RunnerOptions::from_vars([("PSA_WARMUP", "111"), ("PSA_OBS", "1")])
             .expect("clean parse")
             .with_warmup(222)
             .with_obs(ObsConfig::default());
@@ -2031,23 +1670,23 @@ mod tests {
 
     #[test]
     fn injected_panic_is_isolated_and_memoised() {
-        let _guard = env_lock();
-        let lbm = catalog::workload("lbm").unwrap();
         let milc = catalog::workload("milc").unwrap();
-
         // Clean reference for the job that survives the faulty batch.
-        let mut clean = RunCache::new();
-        let reference = clean.run(quick(), milc, Variant::NoPrefetch).clone();
+        let clean_exec = quick(RunnerOptions::default());
+        let reference = RunCache::new(&clean_exec, clean_exec.config)
+            .run(milc, Variant::NoPrefetch)
+            .clone();
 
-        std::env::set_var("PSA_INJECT_PANIC", "lbm/no-prefetch");
-        let mut cache = RunCache::new();
-        cache.run_batch(
-            quick(),
-            &[(lbm, Variant::NoPrefetch), (milc, Variant::NoPrefetch)],
-        );
+        let opts = RunnerOptions {
+            inject_panic: Some("lbm/no-prefetch".into()),
+            ..RunnerOptions::default()
+        };
+        let exec = quick(opts);
+        let mut cache = RunCache::new(&exec, exec.config);
+        cache.run_batch(&[(lbm(), Variant::NoPrefetch), (milc, Variant::NoPrefetch)]);
         // The panicking job became a Failed value; the batch completed and
         // the surviving run is bit-identical to the clean reference.
-        match cache.outcome(quick(), lbm, Variant::NoPrefetch) {
+        match cache.outcome(lbm(), Variant::NoPrefetch) {
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => {
@@ -2056,42 +1695,39 @@ mod tests {
             }
             RunOutcome::Ok(_) => panic!("injected panic was not recorded"),
         }
-        assert_eq!(cache.run(quick(), milc, Variant::NoPrefetch), &reference);
-        assert_eq!(cache.stats().failed, 1);
+        assert_eq!(cache.run(milc, Variant::NoPrefetch), &reference);
+        assert_eq!(exec.stats().failed, 1);
         assert_eq!(
-            cache.surviving(&[lbm, milc], &[Variant::NoPrefetch]),
+            cache.surviving(&[lbm(), milc], &[Variant::NoPrefetch]),
             vec![milc]
         );
         // Faults are deterministic, so the failure is memoised: asking
-        // again (even with the injection cleared) must not re-simulate.
-        std::env::remove_var("PSA_INJECT_PANIC");
-        let hits = cache.stats().memo_hits;
-        assert!(!cache.completed(lbm, Variant::NoPrefetch));
+        // again must not re-simulate.
+        let hits = exec.stats().memo_hits;
+        assert!(!cache.completed(lbm(), Variant::NoPrefetch));
         assert!(matches!(
-            cache.outcome(quick(), lbm, Variant::NoPrefetch),
+            cache.outcome(lbm(), Variant::NoPrefetch),
             RunOutcome::Failed { .. }
         ));
-        assert_eq!(cache.stats().memo_hits, hits + 1);
-        // The process-wide failure journal picked the fault up.
-        let failures = failures_json();
-        let arr = failures.as_arr().unwrap();
-        assert!(arr.iter().any(|f| {
-            f.get("workload").unwrap().as_str() == Some("lbm")
-                && f.get("variant").unwrap().as_str() == Some("no-prefetch")
-        }));
+        assert_eq!(exec.stats().memo_hits, hits + 1);
+        assert_eq!(exec.stats().simulated, 2);
+        // The cache's and the executor's failure journals both hold it.
+        for failures in [cache.failures_json(), exec.failures_json()] {
+            let arr = failures.as_arr().unwrap();
+            assert_eq!(arr.len(), 1);
+            assert_eq!(arr[0].get("workload").unwrap().as_str(), Some("lbm"));
+            assert_eq!(arr[0].get("variant").unwrap().as_str(), Some("no-prefetch"));
+        }
     }
 
     #[test]
     fn injected_stall_trips_the_watchdog() {
-        let _guard = env_lock();
-        std::env::set_var("PSA_INJECT_STALL", "lbm/no-prefetch");
-        let outcome = run_job(
-            quick(),
-            catalog::workload("lbm").unwrap().into(),
-            Variant::NoPrefetch,
-        );
-        std::env::remove_var("PSA_INJECT_STALL");
-        match outcome {
+        let opts = RunnerOptions {
+            inject_stall: Some("lbm/no-prefetch".into()),
+            ..RunnerOptions::default()
+        };
+        let exec = quick(opts);
+        match run_job(&exec, exec.config, lbm().into(), Variant::NoPrefetch) {
             RunOutcome::Failed {
                 reason, watchdog, ..
             } => {
@@ -2100,6 +1736,47 @@ mod tests {
             }
             RunOutcome::Ok(_) => panic!("stall injection did not trip the watchdog"),
         }
+    }
+
+    /// Two executors running at once in one process share nothing: a
+    /// fault injected into one never reaches the other's runs, stats or
+    /// documents.
+    #[test]
+    fn concurrent_executors_are_isolated() {
+        let jobs = [(lbm(), Variant::NoPrefetch)];
+        let reference_exec = quick(RunnerOptions::default());
+        let reference = RunCache::new(&reference_exec, reference_exec.config)
+            .run(lbm(), Variant::NoPrefetch)
+            .clone();
+
+        let faulty_opts = RunnerOptions {
+            inject_panic: Some("lbm".into()),
+            ..RunnerOptions::default()
+        };
+        let a = quick(faulty_opts);
+        let b = quick(RunnerOptions::default());
+        let barrier = std::sync::Barrier::new(2);
+        let run = |exec: &Executor| {
+            barrier.wait();
+            let mut cache = RunCache::new(exec, exec.config);
+            cache.run_batch(&jobs);
+            cache.outcome(lbm(), Variant::NoPrefetch).clone()
+        };
+        let (a_outcome, b_outcome) = std::thread::scope(|s| {
+            let ha = s.spawn(|| run(&a));
+            let hb = s.spawn(|| run(&b));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+
+        assert_eq!(b_outcome.report(), Some(&reference));
+        assert_eq!(b.stats().failed, 0);
+        let b_doc = doc("fig08", "isolation", &b, Json::Arr(vec![])).pretty();
+        assert!(b_doc.contains("\"failures\": []"), "{b_doc}");
+
+        assert!(matches!(a_outcome, RunOutcome::Failed { .. }));
+        assert_eq!(a.stats().failed, 1);
+        let a_failures = a.failures_json();
+        assert_eq!(a_failures.as_arr().map(<[Json]>::len), Some(1));
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! A [`SweepSpec`] names a figure label, a workload subset, a variant
 //! subset and optional budget/seed overrides. Executing it runs the
 //! full workload×variant cross product through one
-//! [`RunCache::run_batch_with`] and renders the result as a
+//! [`RunCache::run_batch_with`] on the caller's [`Executor`] and renders
+//! the result with [`RunCache::doc`] as a
 //! schema-v[`BENCH_SCHEMA_VERSION`] document whose `rows` are the raw
-//! per-run reports ([`RunCache::runs_json`]) — deterministic for a
-//! given spec, which is what makes byte-level dedup sound.
+//! per-run reports ([`RunCache::runs_json`]) and whose `failures` are the
+//! job's own — deterministic for a given spec, which is what makes
+//! byte-level dedup sound.
 //!
 //! Finished documents are memoised in the tiered checkpoint store
 //! under [`SweepSpec::key`] (entry kind `Document`): a repeat of an
@@ -17,7 +19,7 @@
 //! from disk without simulating anything.
 
 use crate::ckpt;
-use crate::runner::{self, RunCache, Settings, Variant, BENCH_SCHEMA_VERSION};
+use crate::runner::{Executor, RunCache, Variant, BENCH_SCHEMA_VERSION};
 use psa_common::rng::fnv1a;
 use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
@@ -409,11 +411,11 @@ impl SweepSpec {
         SweepSpec::from_json(&doc)
     }
 
-    /// The effective run configuration: today's [`Settings::default`]
-    /// (environment included) with the spec's own overrides applied on
-    /// top — a spec always beats the environment.
-    pub fn config(&self) -> SimConfig {
-        let mut config = Settings::default().config;
+    /// The effective run configuration: the executor's `base`
+    /// configuration with the spec's own overrides applied on top — a
+    /// spec always beats the executor's options.
+    pub fn config(&self, base: SimConfig) -> SimConfig {
+        let mut config = base;
         if let Some(seed) = self.seed {
             config.seed = seed;
         }
@@ -473,11 +475,12 @@ impl SweepSpec {
         )
     }
 
-    /// The dedup / document-memo key: document schema version, the full
-    /// effective configuration (so environment budget changes miss
-    /// rather than alias), and the canonical spec string.
-    pub fn key(&self) -> u64 {
-        let config = self.config();
+    /// The dedup / document-memo key over the executor's `base`
+    /// configuration: document schema version, the full effective
+    /// configuration (so budget changes in the options miss rather than
+    /// alias), and the canonical spec string.
+    pub fn key(&self, base: SimConfig) -> u64 {
+        let config = self.config(base);
         let mut id = Vec::new();
         id.extend_from_slice(b"document\0");
         id.extend_from_slice(&BENCH_SCHEMA_VERSION.to_le_bytes());
@@ -499,36 +502,34 @@ pub struct ServedDocument {
     pub clean: bool,
 }
 
-/// Execute a spec and assemble its BENCH document. Always simulates
-/// (through the run cache's own warm-up/report memo tiers); the
-/// document-level memo is [`run_job`]'s concern. `progress(done,
+/// Execute a spec on `exec` and assemble its BENCH document. Always
+/// simulates (through the run cache's own warm-up/report memo tiers);
+/// the document-level memo is [`run_job`]'s concern. `progress(done,
 /// total)` fires per finished simulation, from worker threads.
-pub fn execute(spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> Json {
-    let config = spec.config();
-    let settings = Settings { config };
-    let mark = runner::failures_mark();
-    let mut cache = RunCache::new();
-    let refs = spec.workload_refs();
-    let jobs: Vec<(WorkloadRef, Variant)> = refs
-        .iter()
-        .flat_map(|&w| spec.variants.iter().map(move |&v| (w, v)))
+pub fn execute(exec: &Executor, spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> Json {
+    let mut cache = RunCache::new(exec, spec.config(exec.config));
+    let jobs: Vec<(WorkloadRef, Variant)> = spec
+        .workload_refs()
+        .into_iter()
+        .flat_map(|w| spec.variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch_refs_with(config, &jobs, progress);
-    let rows = cache.runs_json();
-    let names: Vec<&str> = refs.iter().map(WorkloadRef::name).collect();
-    let failures = runner::failures_json_since(mark, &names);
-    runner::doc_with_failures(&spec.figure, &spec.title(), &settings, rows, failures)
+    cache.run_batch_with(&jobs, progress);
+    cache.doc(&spec.figure, &spec.title(), cache.runs_json())
 }
 
-/// Serve a spec: a memoised finished document when one exists (no
-/// simulation at all, counted as a `ckpt_hits` store hit), else
+/// Serve a spec on `exec`: a memoised finished document when one exists
+/// (no simulation at all, counted as a `ckpt_hits` store hit), else
 /// [`execute`] it and — when the result is clean and the disk tier is
 /// available — memoise the rendered bytes for every later request.
-pub fn run_job(spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> ServedDocument {
-    let config = spec.config();
-    let memo = ckpt::document_memo_enabled(&config);
+pub fn run_job(
+    exec: &Executor,
+    spec: &SweepSpec,
+    progress: &(dyn Fn(u64, u64) + Sync),
+) -> ServedDocument {
+    let memo = ckpt::memo_enabled(exec, &spec.config(exec.config));
+    let key = spec.key(exec.config);
     if memo {
-        if let Some(bytes) = ckpt::document_from_store(spec.key()) {
+        if let Some(bytes) = ckpt::document_from_store(exec, key) {
             return ServedDocument {
                 bytes,
                 from_cache: true,
@@ -536,7 +537,7 @@ pub fn run_job(spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> Served
             };
         }
     }
-    let doc = execute(spec, progress);
+    let doc = execute(exec, spec, progress);
     let clean = doc
         .get("failures")
         .and_then(Json::as_arr)
@@ -546,7 +547,7 @@ pub fn run_job(spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> Served
     // run (a panic, a watchdog stall), not of the spec, and must not be
     // replayed to every future client.
     if memo && clean {
-        ckpt::document_to_store(spec.key(), Arc::clone(&bytes));
+        ckpt::document_to_store(exec, key, Arc::clone(&bytes));
     }
     ServedDocument {
         bytes,
@@ -558,7 +559,11 @@ pub fn run_job(spec: &SweepSpec, progress: &(dyn Fn(u64, u64) + Sync)) -> Served
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::test_env_lock;
+
+    /// The keys below are computed over this base configuration.
+    fn base() -> SimConfig {
+        SimConfig::default()
+    }
 
     fn spec_json(body: &str) -> Json {
         Json::parse(body).expect("test body parses")
@@ -575,7 +580,6 @@ mod tests {
 
     #[test]
     fn spec_parses_sorts_and_dedups() {
-        let _guard = test_env_lock();
         let doc = spec_json(
             r#"{"figure": "fig08", "workloads": ["mcf", "lbm", "mcf"],
                 "variants": ["SPP-PSA", "SPP", "SPP-PSA"], "seed": 7}"#,
@@ -594,12 +598,11 @@ mod tests {
         );
         let spec2 = SweepSpec::from_json(&doc2).expect("valid spec");
         assert_eq!(spec.canonical(), spec2.canonical());
-        assert_eq!(spec.key(), spec2.key());
+        assert_eq!(spec.key(base()), spec2.key(base()));
     }
 
     #[test]
     fn prefetchers_field_expands_to_the_policy_matrix() {
-        let _guard = test_env_lock();
         let by_family =
             spec_json(r#"{"figure": "fig16", "workloads": ["lbm"], "prefetchers": ["pangloss"]}"#);
         let spec = SweepSpec::from_json(&by_family).expect("valid spec");
@@ -621,7 +624,7 @@ mod tests {
         );
         let explicit = SweepSpec::from_json(&by_labels).expect("valid spec");
         assert_eq!(spec.canonical(), explicit.canonical());
-        assert_eq!(spec.key(), explicit.key());
+        assert_eq!(spec.key(base()), explicit.key(base()));
         // Both fields combine, overlaps dedup.
         let both = spec_json(
             r#"{"figure": "fig16", "workloads": ["lbm"],
@@ -644,7 +647,6 @@ mod tests {
 
     #[test]
     fn spec_rejections_are_typed() {
-        let _guard = test_env_lock();
         let cases: [(&str, &str); 10] = [
             (r#"[1, 2]"#, "bad_type"),
             (
@@ -698,7 +700,6 @@ mod tests {
 
     #[test]
     fn trace_specs_admit_by_content_and_reject_typed() {
-        let _guard = test_env_lock();
         let mut path = std::env::temp_dir();
         path.push(format!("psa_service_trace_{}.psatrace", std::process::id()));
         {
@@ -730,7 +731,7 @@ mod tests {
         assert_eq!(a.total_jobs(), 1);
         assert!(a.workloads.is_empty(), "traces alone satisfy the spec");
         assert_eq!(a.canonical(), b.canonical(), "dedup is by content hash");
-        assert_eq!(a.key(), b.key());
+        assert_eq!(a.key(base()), b.key(base()));
         assert_eq!(a.workload_refs()[0].name(), tref.name);
 
         // A wrong pin is a typed rejection naming both hashes.
@@ -801,14 +802,18 @@ mod tests {
 
     #[test]
     fn key_separates_specs_and_configs() {
-        let _guard = test_env_lock();
-        let base = spec_json(r#"{"figure": "fig08", "workloads": ["lbm"], "variants": ["SPP"]}"#);
+        let plain = spec_json(r#"{"figure": "fig08", "workloads": ["lbm"], "variants": ["SPP"]}"#);
         let seeded = spec_json(
             r#"{"figure": "fig08", "workloads": ["lbm"], "variants": ["SPP"], "seed": 1}"#,
         );
-        let a = SweepSpec::from_json(&base).unwrap();
+        let a = SweepSpec::from_json(&plain).unwrap();
         let b = SweepSpec::from_json(&seeded).unwrap();
-        assert_ne!(a.key(), b.key());
-        assert_eq!(a.key(), SweepSpec::from_json(&base).unwrap().key());
+        assert_ne!(a.key(base()), b.key(base()));
+        assert_eq!(
+            a.key(base()),
+            SweepSpec::from_json(&plain).unwrap().key(base())
+        );
+        // A different executor budget is a different key.
+        assert_ne!(a.key(base()), a.key(base().with_instructions(7)));
     }
 }

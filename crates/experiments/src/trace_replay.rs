@@ -4,7 +4,7 @@
 //! Unlike the synthetic figures, this experiment replays a *committed*
 //! trace file — by default the sample fixture at
 //! `crates/experiments/tests/golden/sample.psatrace`, overridable with
-//! `PSA_TRACE_FILE` — so its `BENCH_trace_replay.json` rows are
+//! [`crate::RunnerOptions::trace_file`] (`PSA_TRACE_FILE`) — so its `BENCH_trace_replay.json` rows are
 //! reproducible bit-for-bit from the repository alone. The workload name
 //! embeds the file's content hash (`trace:<name>@<hash>`), which makes
 //! every checkpoint and report-memo key content-addressed for free.
@@ -18,8 +18,9 @@ use psa_core::PageSizePolicy;
 use psa_prefetchers::PrefetcherKind;
 use psa_sim::Json;
 use psa_traces::{intern, TraceRef, WorkloadRef};
+use std::path::PathBuf;
 
-use crate::runner::{self, RunCache, Settings, Variant};
+use crate::runner::{self, Executor, RunCache, Variant};
 
 /// The variant ladder the replay runs: the speedup baseline, original
 /// SPP, and the paper's page-size-aware refinements.
@@ -63,48 +64,41 @@ pub struct TraceReplayRow {
 /// per variant that completed. A variant that fails mid-replay (e.g. the
 /// file is corrupted underneath the run) is likewise journalled and its
 /// row dropped.
-pub fn collect(settings: &Settings) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
-    let path = runner::trace_replay_path();
+pub fn collect(exec: &Executor) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
+    let path = exec.opts.trace_file.clone().unwrap_or_else(|| {
+        PathBuf::from(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/sample.psatrace"
+        ))
+    });
     let opened = match path.to_str() {
-        Some(p) => TraceRef::open(p),
-        None => {
-            runner::journal_failure(
-                intern(&format!("trace-file:{}", path.display())),
-                "open".into(),
-                "trace replay failed: path is not valid UTF-8",
-                false,
-            );
-            return (None, Vec::new());
-        }
+        Some(p) => TraceRef::open(p).map_err(|e| format!("trace replay failed: {e}")),
+        None => Err("trace replay failed: path is not valid UTF-8".into()),
     };
     let tref = match opened {
         Ok(t) => t,
-        Err(e) => {
-            runner::journal_failure(
-                intern(&format!("trace-file:{}", path.display())),
-                "open".into(),
-                &format!("trace replay failed: {e}"),
-                false,
-            );
+        Err(reason) => {
+            let workload = intern(&format!("trace-file:{}", path.display()));
+            exec.journal_failure(workload, "open".into(), &reason, false);
             return (None, Vec::new());
         }
     };
 
     let wref = WorkloadRef::TraceFile(tref);
-    let mut cache = RunCache::new();
+    let mut cache = RunCache::new(exec, exec.config);
     let ladder = variants();
     let jobs: Vec<(WorkloadRef, Variant)> = ladder.iter().map(|&(_, v)| (wref, v)).collect();
-    cache.run_batch_refs(settings.config, &jobs);
+    cache.run_batch(&jobs);
 
     let base_ipc = cache
-        .outcome_ref(settings.config, wref, Variant::NoPrefetch)
+        .outcome(wref, Variant::NoPrefetch)
         .report()
         .map(psa_sim::RunReport::ipc);
     let mut rows = Vec::new();
     for &(label, v) in &ladder {
         // A failed variant is already in the failure journal; its row is
         // an explicit gap, exactly like a failed workload in fig08.
-        let Some(r) = cache.outcome_ref(settings.config, wref, v).report() else {
+        let Some(r) = cache.outcome(wref, v).report() else {
             continue;
         };
         let ipc = r.ipc();
@@ -124,8 +118,8 @@ pub fn collect(settings: &Settings) -> (Option<TraceRef>, Vec<TraceReplayRow>) {
 }
 
 /// Render the figure.
-pub fn run(settings: &Settings) -> String {
-    report(settings).0
+pub fn run(exec: &Executor) -> String {
+    report(exec).0
 }
 
 /// Text rendering plus the `BENCH_trace_replay.json` document.
@@ -133,8 +127,8 @@ pub fn run(settings: &Settings) -> String {
 /// The trace's provenance (replayed path, content hash, per-pass header
 /// counts) rides along under `"trace"`, *after* the `"executor"` field —
 /// outside the golden-stable section, because the path is host-specific.
-pub fn report(settings: &Settings) -> (String, Json) {
-    let (tref, rows) = collect(settings);
+pub fn report(exec: &Executor) -> (String, Json) {
+    let (tref, rows) = collect(exec);
     let json_rows = Json::Arr(
         rows.iter()
             .map(|r| {
@@ -151,7 +145,7 @@ pub fn report(settings: &Settings) -> (String, Json) {
     let mut doc = runner::doc(
         "trace_replay",
         "SPP ladder over a streamed recorded trace",
-        settings,
+        exec,
         json_rows,
     );
     if let Some(t) = tref {
@@ -197,10 +191,9 @@ pub fn report(settings: &Settings) -> (String, Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psa_sim::SimConfig;
+    use crate::RunnerOptions;
     use psa_traces::format::TraceWriter;
     use psa_traces::{catalog, TraceGenerator};
-    use std::path::PathBuf;
 
     struct TempTrace(PathBuf);
 
@@ -233,24 +226,22 @@ mod tests {
         w.finish().expect("finish");
     }
 
-    fn small_settings() -> Settings {
-        Settings {
-            config: SimConfig::default()
-                .with_warmup(2_000)
-                .with_instructions(8_000),
-        }
+    /// A small-budget executor replaying `trace`.
+    fn small_exec(trace: &TempTrace) -> Executor {
+        let mut opts = RunnerOptions::default()
+            .with_warmup(2_000)
+            .with_instructions(8_000);
+        opts.trace_file = Some(trace.0.clone());
+        Executor::new(opts)
     }
 
     #[test]
     fn replay_figure_is_deterministic_with_explicit_baseline() {
-        let _guard = crate::runner::test_env_lock();
         let tmp = TempTrace::new("det");
         record(&tmp.0, "mcf", 3, 4_000);
-        std::env::set_var("PSA_TRACE_FILE", &tmp.0);
-        let settings = small_settings();
-        let (tref, rows) = collect(&settings);
-        let (_, rows2) = collect(&settings);
-        std::env::remove_var("PSA_TRACE_FILE");
+        let exec = small_exec(&tmp);
+        let (tref, rows) = collect(&exec);
+        let (_, rows2) = collect(&exec);
 
         let tref = tref.expect("fixture opens");
         assert!(tref.name.starts_with("trace:mcf@"), "{}", tref.name);
@@ -265,7 +256,6 @@ mod tests {
 
     #[test]
     fn mid_replay_corruption_is_a_typed_failure_row_not_a_panic() {
-        let _guard = crate::runner::test_env_lock();
         let tmp = TempTrace::new("corrupt");
         record(&tmp.0, "lbm", 9, 4_000);
         let tref = TraceRef::open(tmp.0.to_str().expect("utf-8")).expect("verified");
@@ -279,24 +269,21 @@ mod tests {
         std::fs::write(&tmp.0, &bytes).expect("rewrite");
 
         let wref = WorkloadRef::TraceFile(tref);
-        let mark = runner::failures_mark();
-        let mut cache = RunCache::new();
-        cache.run_batch_refs(small_settings().config, &[(wref, Variant::NoPrefetch)]);
-        assert!(!cache.completed_ref(wref, Variant::NoPrefetch));
-        let failures = runner::failures_json_since(mark, &[tref.name]).pretty();
+        let exec = small_exec(&tmp);
+        let mut cache = RunCache::new(&exec, exec.config);
+        cache.run_batch(&[(wref, Variant::NoPrefetch)]);
+        assert!(!cache.completed(wref, Variant::NoPrefetch));
+        let failures = cache.failures_json().pretty();
         assert!(failures.contains("trace replay failed"), "{failures}");
         assert!(failures.contains(tref.name), "{failures}");
     }
 
     #[test]
     fn unopenable_trace_is_a_journalled_gap_not_a_panic() {
-        let _guard = crate::runner::test_env_lock();
         let tmp = TempTrace::new("gone");
-        std::env::set_var("PSA_TRACE_FILE", &tmp.0);
-        let settings = small_settings();
-        let (tref, rows) = collect(&settings);
-        let (text, doc) = report(&settings);
-        std::env::remove_var("PSA_TRACE_FILE");
+        let exec = small_exec(&tmp);
+        let (tref, rows) = collect(&exec);
+        let (text, doc) = report(&exec);
 
         assert!(tref.is_none());
         assert!(rows.is_empty());
@@ -304,9 +291,7 @@ mod tests {
         let rendered = doc.pretty();
         assert!(rendered.contains("trace replay failed"), "{rendered}");
         assert!(
-            runner::failures_json()
-                .pretty()
-                .contains("trace_replay_fig"),
+            exec.failures_json().pretty().contains("trace_replay_fig"),
             "failure journalled under the trace-file pseudo-workload"
         );
     }

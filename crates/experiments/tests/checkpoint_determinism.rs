@@ -1,19 +1,16 @@
 //! End-to-end determinism of the tiered checkpoint/result store through
 //! the real `RunCache` batch executor: memory hits, tiered disk hits,
-//! memoised finished reports, legacy flat-file migration, corrupt-store
-//! recovery and injected-fault storms must all reproduce the cold path
-//! bit for bit.
+//! memoised finished reports, corrupt-store recovery and injected-fault
+//! storms must all reproduce the cold path bit for bit.
 //!
-//! Mutates `PSA_CKPT_DIR` / `PSA_CKPT_LAYOUT` / `PSA_FAULT_PLAN` and the
-//! process-wide store state, so the whole scenario lives in a single
-//! `#[test]` in its own binary (its own process) — the same isolation
-//! pattern as `fault_isolation.rs`.
+//! A "restart" is a new [`Executor`] over the same store directory,
+//! exactly as a fresh process would see it.
 
 use psa_core::PageSizePolicy;
-use psa_experiments::ckpt;
 use psa_experiments::runner::{self, RunCache, Variant};
+use psa_experiments::{Executor, RunnerOptions};
 use psa_prefetchers::PrefetcherKind;
-use psa_sim::SimConfig;
+use psa_store::fault::FaultPlan;
 use psa_traces::WorkloadSpec;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,13 +29,24 @@ fn jobs() -> Vec<(&'static WorkloadSpec, Variant)> {
         .collect()
 }
 
+/// An executor on the test budget over the checkpoint store at `dir`
+/// (memory only when `None`) with an optional IO fault plan.
+fn executor(dir: Option<&Path>, plan: Option<&str>) -> Executor {
+    let mut opts = RunnerOptions::default()
+        .with_warmup(2_000)
+        .with_instructions(6_000);
+    opts.ckpt_dir = dir.map(Path::to_path_buf);
+    opts.fault_plan = plan.map(|p| FaultPlan::parse(p).expect("valid plan"));
+    Executor::new(opts)
+}
+
 /// Run the whole batch through a fresh cache and Debug-format every
 /// report — bit-identical state produces byte-identical strings.
-fn run_all(config: SimConfig, jobs: &[(&'static WorkloadSpec, Variant)]) -> Vec<String> {
-    let mut cache = RunCache::new();
-    cache.run_batch(config, jobs);
+fn run_all(exec: &Executor, jobs: &[(&'static WorkloadSpec, Variant)]) -> Vec<String> {
+    let mut cache = RunCache::new(exec, exec.config);
+    cache.run_batch(jobs);
     jobs.iter()
-        .map(|&(w, v)| format!("{:?}", cache.run(config, w, v)))
+        .map(|&(w, v)| format!("{:?}", cache.run(w, v)))
         .collect()
 }
 
@@ -70,39 +78,31 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
-    let config = SimConfig::default()
-        .with_warmup(2_000)
-        .with_instructions(6_000);
     let jobs = jobs();
-    for var in ["PSA_CKPT_DIR", "PSA_CKPT_LAYOUT", "PSA_FAULT_PLAN"] {
-        std::env::remove_var(var);
-    }
 
     // Phase A: cold reference (no disk store, empty memory store).
-    ckpt::clear_memory();
-    let reference = run_all(config, &jobs);
+    let memory = executor(None, None);
+    let reference = run_all(&memory, &jobs);
 
-    // Phase B: a second cache in the same process shares every warm-up
+    // Phase B: a second cache on the same executor shares every warm-up
     // from the memory tier — and reproduces the reports exactly.
-    let before = runner::global_stats();
-    let warm = run_all(config, &jobs);
-    let after = runner::global_stats();
+    let before = memory.stats();
+    let warm = run_all(&memory, &jobs);
+    let after = memory.stats();
     assert_eq!(warm, reference, "memory-warm run diverged from cold run");
     assert_eq!(
         after.warmups_shared - before.warmups_shared,
         jobs.len() as u64,
         "every job should share its warm-up from memory"
     );
-    assert_eq!(after.ckpt_hits, before.ckpt_hits, "no disk store is set");
+    assert_eq!(after.ckpt_hits, 0, "no disk store is set");
 
-    // Phase C: with PSA_CKPT_DIR set, warm-ups and finished reports
-    // persist in the tiered store. Clearing the in-process state
-    // simulates a fresh process — the reopened store must serve every
+    // Phase C: with a checkpoint directory, warm-ups and finished
+    // reports persist in the tiered store. A new executor over the same
+    // directory is a fresh process — the reopened store must serve every
     // job bit-identically (memoised reports, counted as ckpt_hits).
     let dir = temp_dir("tiered");
-    std::env::set_var("PSA_CKPT_DIR", &dir);
-    ckpt::clear_memory();
-    let seeded = run_all(config, &jobs);
+    let seeded = run_all(&executor(Some(&dir), None), &jobs);
     assert_eq!(seeded, reference, "disk-seeding run diverged");
     assert!(
         dir.join("MANIFEST").exists(),
@@ -111,23 +111,19 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     assert!(!seg_files(&dir).is_empty(), "no store segments written");
     assert!(
         ckpt_files(&dir).is_empty(),
-        "tiered layout must not write legacy flat files"
+        "the tiered store writes no flat snapshot files"
     );
 
-    ckpt::clear_memory(); // drops the store handle: reopen + recovery
-    let before = runner::global_stats();
-    let from_disk = run_all(config, &jobs);
-    let after = runner::global_stats();
+    let restarted = executor(Some(&dir), None);
+    let from_disk = run_all(&restarted, &jobs);
+    let stats = restarted.stats();
     assert_eq!(from_disk, reference, "disk-warm run diverged from cold run");
     assert_eq!(
-        after.ckpt_hits - before.ckpt_hits,
+        stats.ckpt_hits,
         jobs.len() as u64,
         "every job should be served from the store (memoised reports)"
     );
-    assert_eq!(
-        after.failed, before.failed,
-        "store traffic must not fail jobs"
-    );
+    assert_eq!(stats.failed, 0, "store traffic must not fail jobs");
 
     // Phase D: damage the store — truncate every segment and flip a
     // byte of the manifest. Recovery must quarantine the damage, fall
@@ -143,83 +139,60 @@ fn warm_checkpoints_reproduce_the_cold_path_bit_for_bit() {
     bytes[last] ^= 0x40;
     fs::write(&manifest, bytes).unwrap();
 
-    ckpt::clear_memory();
-    let before = runner::global_stats();
-    let degraded = run_all(config, &jobs);
-    let after = runner::global_stats();
+    let damaged = executor(Some(&dir), None);
+    let before = damaged.stats();
+    let degraded = run_all(&damaged, &jobs);
+    let after = damaged.stats();
     assert_eq!(degraded, reference, "corrupt-store fallback diverged");
-    assert_eq!(
-        after.ckpt_hits, before.ckpt_hits,
-        "corrupt entries must not count as hits"
-    );
+    assert_eq!(after.ckpt_hits, 0, "corrupt entries must not count as hits");
     assert!(
         after.store.quarantined > before.store.quarantined,
         "recovery should have quarantined the damage"
     );
-    assert_eq!(after.failed, before.failed, "fallback is not a failure");
+    assert_eq!(after.failed, 0, "fallback is not a failure");
 
-    // Phase E: the legacy flat layout still works (and now writes its
-    // files atomically).
-    let flat_dir = temp_dir("flat");
-    std::env::set_var("PSA_CKPT_DIR", &flat_dir);
-    std::env::set_var("PSA_CKPT_LAYOUT", "flat");
-    ckpt::clear_memory();
-    let flat = run_all(config, &jobs);
-    assert_eq!(flat, reference, "flat-layout run diverged");
+    // Phase E: files the store does not own — such as a flat
+    // `psa-*.ckpt` snapshot of an older layout — are ignored: a cold
+    // warm-up, identical results.
+    let foreign_dir = temp_dir("foreign");
+    fs::write(foreign_dir.join("psa-0123456789abcdef.ckpt"), b"stale").unwrap();
+    let foreign = executor(Some(&foreign_dir), None);
     assert_eq!(
-        ckpt_files(&flat_dir).len(),
-        jobs.len(),
-        "flat layout writes one legacy file per warm-up"
+        run_all(&foreign, &jobs),
+        reference,
+        "foreign files leaked in"
     );
+    assert_eq!(foreign.stats().ckpt_hits, 0);
 
-    // Phase F: switching the same directory to the tiered layout
-    // migrates: warm-ups restore from the legacy files (counted as disk
-    // hits) and are imported into the store alongside memoised reports.
-    std::env::remove_var("PSA_CKPT_LAYOUT");
-    ckpt::clear_memory();
-    let before = runner::global_stats();
-    let migrated = run_all(config, &jobs);
-    let after = runner::global_stats();
-    assert_eq!(migrated, reference, "flat-to-tiered migration diverged");
-    assert_eq!(
-        after.ckpt_hits - before.ckpt_hits,
-        jobs.len() as u64,
-        "every warm-up should restore from a legacy flat file"
-    );
-    assert!(
-        flat_dir.join("MANIFEST").exists(),
-        "migration should build the tiered store"
-    );
-
-    // Phase G: a seeded fault storm over a fresh store. Faulted writes
+    // Phase F: a seeded fault storm over a fresh store. Faulted writes
     // and reads degrade to cold work; results never change.
     let storm_dir = temp_dir("storm");
-    std::env::set_var("PSA_CKPT_DIR", &storm_dir);
-    std::env::set_var(
-        "PSA_FAULT_PLAN",
-        "seed=5,torn=0.1,flip=0.1,enospc=0.05,eio=0.15",
+    let plan = Some("seed=5,torn=0.1,flip=0.1,enospc=0.05,eio=0.15");
+    let cold = executor(Some(&storm_dir), plan);
+    let before = cold.stats();
+    assert_eq!(
+        run_all(&cold, &jobs),
+        reference,
+        "faulted cold run diverged"
     );
-    let before = runner::global_stats();
-    ckpt::clear_memory();
-    let stormy_cold = run_all(config, &jobs);
-    assert_eq!(stormy_cold, reference, "faulted cold run diverged");
-    ckpt::clear_memory();
-    let stormy_warm = run_all(config, &jobs);
-    let after = runner::global_stats();
-    assert_eq!(stormy_warm, reference, "faulted warm run diverged");
+    let warm = executor(Some(&storm_dir), plan);
+    assert_eq!(
+        run_all(&warm, &jobs),
+        reference,
+        "faulted warm run diverged"
+    );
+    let after = warm.stats();
     assert!(
         after.store.injected_faults > before.store.injected_faults,
         "the fault plan should actually inject"
     );
     assert_eq!(
-        after.failed, before.failed,
+        cold.stats().failed + after.failed,
+        0,
         "injected IO faults must not fail jobs"
     );
 
-    for var in ["PSA_CKPT_DIR", "PSA_CKPT_LAYOUT", "PSA_FAULT_PLAN"] {
-        std::env::remove_var(var);
-    }
-    for d in [dir, flat_dir, storm_dir] {
+    for d in [dir, foreign_dir, storm_dir] {
         let _ = fs::remove_dir_all(&d);
     }
 }

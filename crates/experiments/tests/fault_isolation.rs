@@ -3,20 +3,16 @@
 //! keep every surviving run bit-identical to a clean serial run, and
 //! record both faults in the `BENCH_*.json` document's `failures` array.
 //!
-//! Lives in its own integration-test binary (one `#[test]`) so the
-//! `PSA_INJECT_*` / `PSA_THREADS` environment variables cannot race with
-//! the unit-test suite's environment-sensitive tests.
+//! The faults are injected through the faulty executor's own options,
+//! so nothing leaks into the clean reference executor.
 
 use psa_core::PageSizePolicy;
 use psa_experiments::runner::{self, RunCache, RunOutcome, Variant};
-use psa_experiments::Settings;
+use psa_experiments::{Executor, RunnerOptions};
 use psa_prefetchers::PrefetcherKind;
-use psa_sim::SimConfig;
 
-fn quick() -> SimConfig {
-    SimConfig::default()
-        .with_warmup(1_000)
-        .with_instructions(4_000)
+fn quick(opts: RunnerOptions) -> Executor {
+    Executor::new(opts.with_warmup(1_000).with_instructions(4_000))
 }
 
 #[test]
@@ -33,21 +29,22 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         (milc, psa),
     ];
 
-    // Clean serial reference first, before any injection is armed.
-    std::env::set_var("PSA_THREADS", "1");
-    let mut clean = RunCache::new();
-    clean.run_batch(quick(), &jobs);
+    // Clean serial reference.
+    let clean_exec = quick(RunnerOptions::default().with_threads(1));
+    let mut clean = RunCache::new(&clean_exec, clean_exec.config);
+    clean.run_batch(&jobs);
 
     // Faulty parallel batch: one injected panic, one injected stall.
-    std::env::set_var("PSA_THREADS", "2");
-    std::env::set_var("PSA_INJECT_PANIC", "lbm/no-prefetch");
-    std::env::set_var("PSA_INJECT_STALL", "milc/no-prefetch");
-    let mut faulty = RunCache::new();
-    let executed = faulty.run_batch(quick(), &jobs);
+    let mut opts = RunnerOptions::default().with_threads(2);
+    opts.inject_panic = Some("lbm/no-prefetch".into());
+    opts.inject_stall = Some("milc/no-prefetch".into());
+    let exec = quick(opts);
+    let mut faulty = RunCache::new(&exec, exec.config);
+    let executed = faulty.run_batch(&jobs);
     assert_eq!(executed, jobs.len(), "the batch must complete");
 
     // Both faults were contained as values, with the right diagnosis.
-    match faulty.outcome(quick(), lbm, Variant::NoPrefetch) {
+    match faulty.outcome(lbm, Variant::NoPrefetch) {
         RunOutcome::Failed {
             reason, watchdog, ..
         } => {
@@ -56,7 +53,7 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         }
         RunOutcome::Ok(_) => panic!("injected panic not recorded"),
     }
-    match faulty.outcome(quick(), milc, Variant::NoPrefetch) {
+    match faulty.outcome(milc, Variant::NoPrefetch) {
         RunOutcome::Failed {
             reason, watchdog, ..
         } => {
@@ -75,8 +72,8 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
             v.label()
         );
         assert_eq!(
-            faulty.run(quick(), w, v),
-            clean.run(quick(), w, v),
+            faulty.run(w, v),
+            clean.run(w, v),
             "{}/{} diverged from the clean serial run",
             w.name,
             v.label()
@@ -86,16 +83,16 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         faulty.surviving(&[lbm, milc, soplex], &[Variant::NoPrefetch]),
         vec![soplex]
     );
-    assert_eq!(faulty.stats().failed, 2);
-    assert_eq!(faulty.stats().watchdog_aborted, 1);
+    assert_eq!(exec.stats().failed, 2);
+    assert_eq!(exec.stats().watchdog_aborted, 1);
+    assert_eq!(clean_exec.stats().failed, 0);
 
     // The emitted document carries both failure records, and would trip
     // the shell gate (which greps for the empty `"failures": []`).
-    let settings = Settings { config: quick() };
     let doc = runner::doc(
         "fault_smoke",
         "fault isolation smoke",
-        &settings,
+        &exec,
         psa_sim::Json::Arr(vec![]),
     );
     let failures = doc.get("failures").unwrap().as_arr().unwrap();
@@ -120,8 +117,4 @@ fn faulty_batch_completes_with_gaps_and_records_failures() {
         executor.get("watchdog_aborted").unwrap(),
         &psa_sim::Json::uint(1)
     );
-
-    for var in ["PSA_THREADS", "PSA_INJECT_PANIC", "PSA_INJECT_STALL"] {
-        std::env::remove_var(var);
-    }
 }

@@ -3,17 +3,17 @@
 //! and fig14-style jobs must become explicit gaps plus `failures` entries,
 //! while untouched cells stay bit-identical to a clean run.
 //!
-//! Mutates `PSA_INJECT_*` / `PSA_WORKLOAD_LIMIT` / `PSA_MIXES`, so the
-//! whole scenario lives in a single `#[test]` in its own binary (its own
-//! process) — the same isolation pattern as `fault_isolation.rs`.
+//! Each scenario injects its faults through its own executor's options,
+//! so the clean reference runs are untouched.
 
-use psa_experiments::runner::{self, Settings};
-use psa_experiments::{fig11, fig1415};
-use psa_sim::SimConfig;
+use psa_experiments::{fig11, fig1415, Executor, RunnerOptions};
 use psa_traces::mixes::random_mixes;
 
-fn quick() -> SimConfig {
-    SimConfig::default()
+/// Quick-budget options over a 3-workload slice on 2 threads.
+fn quick() -> RunnerOptions {
+    RunnerOptions::default()
+        .with_workload_limit(3)
+        .with_threads(2)
         .with_warmup(1_000)
         .with_instructions(4_000)
 }
@@ -21,31 +21,19 @@ fn quick() -> SimConfig {
 #[test]
 fn injected_faults_in_map_jobs_become_gaps_and_failures() {
     // ---- fig11-style: custom-configured single-core cells ----
-    std::env::set_var("PSA_WORKLOAD_LIMIT", "3");
-    std::env::set_var("PSA_THREADS", "2");
-    let settings = Settings { config: quick() };
-    let workloads = settings.workloads();
+    let clean_exec = Executor::new(quick());
+    let workloads = clean_exec.workloads();
     assert_eq!(workloads.len(), 3);
-
-    let clean = fig11::collect(&settings);
+    let clean = fig11::collect(&clean_exec);
 
     // Panic one SPP/SD-Proposed cell and stall one VLDP/SD-Standard cell;
     // injection matches on `<workload>/<job label>`.
-    let w_panic = workloads[0].name;
-    let w_stall = workloads[1].name;
-    std::env::set_var(
-        "PSA_INJECT_PANIC",
-        format!("{w_panic}/fig11/SPP/SD-Proposed"),
-    );
-    std::env::set_var(
-        "PSA_INJECT_STALL",
-        format!("{w_stall}/fig11/VLDP/SD-Standard"),
-    );
-    let before = runner::global_stats();
-    let faulty = fig11::collect(&settings);
-    let after = runner::global_stats();
-    std::env::remove_var("PSA_INJECT_PANIC");
-    std::env::remove_var("PSA_INJECT_STALL");
+    let mut opts = quick();
+    opts.inject_panic = Some(format!("{}/fig11/SPP/SD-Proposed", workloads[0].name));
+    opts.inject_stall = Some(format!("{}/fig11/VLDP/SD-Standard", workloads[1].name));
+    let exec = Executor::new(opts);
+    let faulty = fig11::collect(&exec);
+    let stats = exec.stats();
 
     // The figure still renders every row; untouched prefetchers are
     // bit-identical to the clean run.
@@ -62,31 +50,27 @@ fn injected_faults_in_map_jobs_become_gaps_and_failures() {
             assert!(s > 0.2 && s < 5.0, "{}: implausible speedup {s}", row.kind);
         }
     }
-    assert_eq!(after.failed - before.failed, 2, "both faults journalled");
+    assert_eq!(stats.failed, 2, "both faults journalled");
     assert_eq!(
-        after.watchdog_aborted - before.watchdog_aborted,
-        1,
+        stats.watchdog_aborted, 1,
         "the stall is aborted by the forward-progress watchdog"
     );
-    let journal = runner::failures_json().pretty();
+    assert_eq!(clean_exec.stats().failed, 0);
+    let journal = exec.failures_json().pretty();
     assert!(journal.contains("fig11/SPP/SD-Proposed"), "{journal}");
     assert!(journal.contains("injected panic"), "{journal}");
     assert!(journal.contains("fig11/VLDP/SD-Standard"), "{journal}");
     assert!(journal.contains("\"watchdog\": true"), "{journal}");
 
     // ---- fig14-style: multi-core mix evaluations ----
-    std::env::set_var("PSA_MIXES", "2");
     // The injected label must name the job exactly: the SPP-PSA-SD
     // evaluation of mix 0, keyed by the mix's first workload.
-    let mix_w = random_mixes(2, 2, settings.config.seed)[0][0].name;
-    std::env::set_var("PSA_INJECT_STALL", format!("{mix_w}/spp-s/mix0"));
-    let before = runner::global_stats();
-    let bars = fig1415::collect(&settings, 2);
-    let after = runner::global_stats();
-    std::env::remove_var("PSA_INJECT_STALL");
-    std::env::remove_var("PSA_MIXES");
-    std::env::remove_var("PSA_WORKLOAD_LIMIT");
-    std::env::remove_var("PSA_THREADS");
+    let mut opts = quick().with_mixes(2);
+    let mix_w = random_mixes(2, 2, clean_exec.config.seed)[0][0].name;
+    opts.inject_stall = Some(format!("{mix_w}/spp-s/mix0"));
+    let exec = Executor::new(opts);
+    let bars = fig1415::collect(&exec, 2);
+    let stats = exec.stats();
 
     assert_eq!(bars.len(), 7, "every bar renders despite the fault");
     for b in &bars {
@@ -98,8 +82,8 @@ fn injected_faults_in_map_jobs_become_gaps_and_failures() {
             b.label
         );
     }
-    assert!(after.failed > before.failed);
-    assert!(after.watchdog_aborted > before.watchdog_aborted);
-    let journal = runner::failures_json().pretty();
+    assert!(stats.failed > 0);
+    assert!(stats.watchdog_aborted > 0);
+    let journal = exec.failures_json().pretty();
     assert!(journal.contains("spp-s/mix0"), "{journal}");
 }

@@ -5,19 +5,19 @@
 //! (determinism is covered separately by `runner::parallel_matches_serial`,
 //! which runs everywhere).
 
-use psa_experiments::{fig09, Settings};
-use psa_sim::SimConfig;
+use psa_experiments::{fig09, Executor, RunnerOptions};
 use std::time::Instant;
 
 fn timed_collect(threads: usize) -> f64 {
-    std::env::set_var("PSA_THREADS", threads.to_string());
-    let settings = Settings {
-        config: SimConfig::default()
+    let exec = Executor::new(
+        RunnerOptions::default()
+            .with_threads(threads)
+            .with_workload_limit(8)
             .with_warmup(2_000)
             .with_instructions(10_000),
-    };
+    );
     let t0 = Instant::now();
-    let cells = fig09::collect(&settings);
+    let cells = fig09::collect(&exec);
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(cells.len(), 12, "fig09 produces 4 prefetchers x 3 variants");
     elapsed
@@ -25,19 +25,15 @@ fn timed_collect(threads: usize) -> f64 {
 
 #[test]
 fn four_threads_at_least_double_fig09_throughput() {
-    std::env::set_var("PSA_WORKLOAD_LIMIT", "8");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 4 {
         eprintln!("only {cores} core(s) available; speedup assertion needs 4 - skipping");
-        std::env::remove_var("PSA_WORKLOAD_LIMIT");
         return;
     }
     // Warm once so neither timed run pays one-time setup costs.
     timed_collect(1);
     let serial = timed_collect(1);
     let parallel = timed_collect(4);
-    std::env::remove_var("PSA_WORKLOAD_LIMIT");
-    std::env::remove_var("PSA_THREADS");
     eprintln!("fig09 x8 workloads: 1 thread {serial:.2}s, 4 threads {parallel:.2}s");
     assert!(
         serial >= 2.0 * parallel,

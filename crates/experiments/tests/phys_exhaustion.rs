@@ -3,11 +3,8 @@
 //! `try_run`, contained by the executor as a job failure, and journalled
 //! in the `BENCH_*.json` `failures` array — never as a panic.
 //!
-//! Lives in its own integration-test binary because the failure journal
-//! and `PSA_THREADS` are process-wide.
-
 use psa_experiments::runner::{self, RunCache, RunOutcome, Variant};
-use psa_experiments::Settings;
+use psa_experiments::{Executor, RunnerOptions};
 use psa_sim::{SimConfig, SimError, System};
 
 /// lbm's 32MB footprint cannot fit in 4MB of physical memory.
@@ -36,13 +33,14 @@ fn phys_exhaustion_is_a_typed_failure_not_a_panic() {
     assert!(err.to_string().contains("enlarge PhysMemConfig"), "{err}");
 
     // Through the executor: the job fails in isolation and lands in the
-    // process-wide failure journal.
-    std::env::set_var("PSA_THREADS", "1");
+    // executor's failure journal.
+    let mut exec = Executor::new(RunnerOptions::default().with_threads(1));
+    exec.config = tiny_phys();
     let jobs = vec![(lbm, Variant::NoPrefetch)];
-    let mut cache = RunCache::new();
-    let executed = cache.run_batch(tiny_phys(), &jobs);
+    let mut cache = RunCache::new(&exec, exec.config);
+    let executed = cache.run_batch(&jobs);
     assert_eq!(executed, jobs.len(), "the batch must complete");
-    match cache.outcome(tiny_phys(), lbm, Variant::NoPrefetch) {
+    match cache.outcome(lbm, Variant::NoPrefetch) {
         RunOutcome::Failed {
             reason, watchdog, ..
         } => {
@@ -52,13 +50,10 @@ fn phys_exhaustion_is_a_typed_failure_not_a_panic() {
         RunOutcome::Ok(_) => panic!("exhaustion must fail the job"),
     }
 
-    let settings = Settings {
-        config: tiny_phys(),
-    };
     let doc = runner::doc(
         "phys_smoke",
         "phys exhaustion smoke",
-        &settings,
+        &exec,
         psa_sim::Json::Arr(vec![]),
     );
     let failures = doc.get("failures").unwrap().as_arr().unwrap();
@@ -68,6 +63,4 @@ fn phys_exhaustion_is_a_typed_failure_not_a_panic() {
         .expect("lbm failure journalled");
     let reason = rec.get("reason").unwrap().as_str().unwrap();
     assert!(reason.contains("physical memory exhausted"), "{reason}");
-
-    std::env::remove_var("PSA_THREADS");
 }

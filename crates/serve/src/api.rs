@@ -52,7 +52,9 @@ pub fn handle(queue: &JobQueue, req: &Request) -> Response {
                 .pretty()
                 .into_bytes(),
         ),
-        ("GET", "/metrics") => Response::prometheus(queue.metrics.render()),
+        ("GET", "/metrics") => {
+            Response::prometheus(queue.metrics.render(&queue.executor().stats()))
+        }
         ("GET", path) if path.starts_with("/jobs/") => match job_id(&path[6..]) {
             Some(id) => job_status(queue, id),
             None => Response::json(404, error_json("unknown_job", "job ids look like j<N>")),

@@ -2,12 +2,16 @@
 //!
 //! * `psa_serve serve [--addr A] [--workers N] [--queue-capacity N]
 //!   [--max-body-bytes N] [--job-delay-ms N] [--port-file PATH]` —
-//!   run the daemon until SIGTERM/SIGINT, then drain and exit 0.
+//!   read the `PSA_*` environment once (a malformed variable exits 2
+//!   before binding), run the daemon until SIGTERM/SIGINT, then drain
+//!   and exit 0.
 //! * `psa_serve client METHOD URL [--body JSON]` — issue one request
 //!   (CI and scripting; no external HTTP tools needed). Prints the
 //!   response body to stdout; exits non-zero on a 4xx/5xx status.
 
 use crate::{http, signal, RunningServer, ServerConfig};
+use psa_experiments::{Executor, RunnerOptions};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Run the CLI; returns the process exit code.
@@ -52,8 +56,15 @@ fn serve(args: &[String]) -> i32 {
             return 2;
         }
     };
+    let opts = match RunnerOptions::from_env() {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("psa_serve: {e}");
+            return 2;
+        }
+    };
     signal::install();
-    let server = match RunningServer::spawn(config) {
+    let server = match RunningServer::spawn(config, Arc::new(Executor::new(opts))) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("psa_serve: bind failed: {e}");

@@ -1,5 +1,6 @@
 //! The async job queue: bounded admission, keyed dedup, a worker pool
-//! over [`psa_experiments::service`], and graceful drain.
+//! over [`psa_experiments::service`] on one shared [`Executor`], and
+//! graceful drain.
 //!
 //! # Dedup before shedding
 //!
@@ -24,6 +25,7 @@
 
 use crate::metrics::Metrics;
 use psa_experiments::service::{self, SweepSpec};
+use psa_experiments::{Executor, RunnerOptions};
 use psa_store::sync::{Entered, InFlight};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,6 +130,7 @@ pub struct JobQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
     dedup: InFlight<u64, Arc<Job>>,
+    exec: Arc<Executor>,
     /// Server metrics (shared with the HTTP layer).
     pub metrics: Arc<Metrics>,
     capacity: usize,
@@ -138,10 +141,23 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// Build a queue and start `workers` worker threads. Returns the
-    /// queue handle and the worker join handles (join them after
-    /// [`JobQueue::begin_shutdown`] to drain).
+    /// Build a queue over an executor from default options and start
+    /// `workers` worker threads — see [`JobQueue::start_with`].
     pub fn start(
+        capacity: usize,
+        workers: usize,
+        job_delay: Duration,
+        metrics: Arc<Metrics>,
+    ) -> (Arc<JobQueue>, Vec<std::thread::JoinHandle<()>>) {
+        let exec = Arc::new(Executor::new(RunnerOptions::default()));
+        JobQueue::start_with(exec, capacity, workers, job_delay, metrics)
+    }
+
+    /// Build a queue whose jobs run on `exec` and start `workers` worker
+    /// threads. Returns the queue handle and the worker join handles
+    /// (join them after [`JobQueue::begin_shutdown`] to drain).
+    pub fn start_with(
+        exec: Arc<Executor>,
         capacity: usize,
         workers: usize,
         job_delay: Duration,
@@ -154,6 +170,7 @@ impl JobQueue {
             }),
             ready: Condvar::new(),
             dedup: InFlight::new(),
+            exec,
             metrics,
             capacity,
             workers: workers.max(1),
@@ -173,9 +190,14 @@ impl JobQueue {
         (queue, handles)
     }
 
+    /// The executor every job runs on (one per daemon).
+    pub fn executor(&self) -> &Executor {
+        &self.exec
+    }
+
     /// Submit a spec: dedup first, then bounded admission.
     pub fn submit(&self, spec: SweepSpec) -> Submitted {
-        let key = spec.key();
+        let key = spec.key(self.exec.config);
         // The admission check runs inside the registry lock, so
         // key-registration and queue-entry are one atomic step; a shed
         // submission registers nothing.
@@ -274,7 +296,9 @@ impl JobQueue {
             st.completed = done;
             st.total = total;
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| service::run_job(&job.spec, &progress)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            service::run_job(&self.exec, &job.spec, &progress)
+        }));
         self.metrics.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
         match outcome {
             Ok(served) => {

@@ -32,6 +32,7 @@ pub mod signal;
 
 use jobs::JobQueue;
 use metrics::Metrics;
+use psa_experiments::Executor;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,17 +79,19 @@ pub struct RunningServer {
 }
 
 impl RunningServer {
-    /// Bind `config.addr` and start serving.
+    /// Bind `config.addr` and start serving jobs on `exec` (the daemon
+    /// builds it from the environment, once, before binding).
     ///
     /// # Errors
     ///
     /// Propagates socket bind/configuration failures.
-    pub fn spawn(config: ServerConfig) -> std::io::Result<RunningServer> {
+    pub fn spawn(config: ServerConfig, exec: Arc<Executor>) -> std::io::Result<RunningServer> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new(config.queue_capacity as u64));
-        let (queue, worker_handles) = JobQueue::start(
+        let (queue, worker_handles) = JobQueue::start_with(
+            exec,
             config.queue_capacity,
             config.workers,
             config.job_delay,

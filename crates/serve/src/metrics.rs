@@ -2,12 +2,13 @@
 //!
 //! The server counters live on a per-[`Metrics`] instance (not process
 //! globals) so tests can run several servers in one process without
-//! cross-talk. The exposition additionally renders the process-wide
-//! executor counters ([`psa_experiments::runner::global_stats`]) and
-//! storage-tier counters ([`psa_common::obs::prom::store_metrics`]) —
-//! the full observability surface of a long-lived daemon.
+//! cross-talk. The exposition additionally renders the server's executor
+//! counters ([`psa_experiments::Executor::stats`]) and storage-tier
+//! counters ([`psa_common::obs::prom::store_metrics`]) — the full
+//! observability surface of a long-lived daemon.
 
 use psa_common::obs::prom::{self, MetricKind, PromText};
+use psa_experiments::runner::ExecStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -95,9 +96,9 @@ impl Metrics {
         (nanos as f64 / count as f64 / 1e9).max(0.001)
     }
 
-    /// The full Prometheus text exposition: server families, executor
-    /// families, storage-tier families.
-    pub fn render(&self) -> String {
+    /// The full Prometheus text exposition: server families, the
+    /// executor families of `exec`, storage-tier families.
+    pub fn render(&self, exec: &ExecStats) -> String {
         let mut w = PromText::new();
         w.counter(
             "psa_serve_jobs_accepted_total",
@@ -166,15 +167,14 @@ impl Metrics {
             "Seconds since this server instance started.",
             self.started.elapsed().as_secs_f64(),
         );
-        executor_metrics(&mut w);
+        executor_metrics(&mut w, exec);
         prom::store_metrics(&mut w);
         w.render()
     }
 }
 
-/// Render the process-wide executor counters as `psa_executor_*`.
-fn executor_metrics(w: &mut PromText) {
-    let stats = psa_experiments::runner::global_stats();
+/// Render the server executor's counters as `psa_executor_*`.
+fn executor_metrics(w: &mut PromText, stats: &ExecStats) {
     w.counter(
         "psa_executor_simulated_runs_total",
         "Simulations actually executed by this process.",
@@ -243,7 +243,7 @@ mod tests {
         m.count_http(200);
         m.count_http(404);
         m.count_http(503);
-        let text = m.render();
+        let text = m.render(&ExecStats::default());
         for family in [
             "psa_serve_jobs_accepted_total",
             "psa_serve_jobs_deduped_total",

@@ -3,14 +3,23 @@
 //! sockets, poll jobs to completion, and read Prometheus samples.
 #![allow(dead_code)]
 
+use psa_experiments::{Executor, RunnerOptions};
 use psa_serve::http::{self, ClientResponse};
 use psa_serve::{RunningServer, ServerConfig};
 use psa_sim::report::Json;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Spawn a server and return it with its `host:port` address string.
+/// Spawn a server on an executor from default options and return it
+/// with its `host:port` address string.
 pub fn spawn(config: ServerConfig) -> (RunningServer, String) {
-    let server = RunningServer::spawn(config).expect("server binds an ephemeral port");
+    spawn_on(config, RunnerOptions::default())
+}
+
+/// Spawn a server whose jobs run on an executor built from `opts`.
+pub fn spawn_on(config: ServerConfig, opts: RunnerOptions) -> (RunningServer, String) {
+    let server = RunningServer::spawn(config, Arc::new(Executor::new(opts)))
+        .expect("server binds an ephemeral port");
     let addr = server.addr.to_string();
     (server, addr)
 }

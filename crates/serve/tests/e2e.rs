@@ -6,8 +6,9 @@
 
 mod common;
 
-use psa_experiments::runner::{self, RunCache, Settings};
+use psa_experiments::runner::RunCache;
 use psa_experiments::service::SweepSpec;
+use psa_experiments::{Executor, RunnerOptions};
 use psa_serve::ServerConfig;
 use psa_sim::report::Json;
 use std::time::Duration;
@@ -60,28 +61,21 @@ fn served_document_matches_direct_run_batch_byte_for_byte() {
     server.shutdown();
 
     // The same spec through the primitives the server wraps: one
-    // run_batch over the workload x variant cross product, rendered
-    // with the standard document assembler.
+    // run_batch over the workload x variant cross product on an executor
+    // from the same (default) options, rendered as the cache's document.
     let spec = SweepSpec::from_body(SPEC.as_bytes()).expect("the spec is valid");
-    let config = spec.config();
-    let mark = runner::failures_mark();
-    let mut cache = RunCache::new();
+    let exec = Executor::new(RunnerOptions::default());
+    let mut cache = RunCache::new(&exec, spec.config(exec.config));
     let jobs: Vec<_> = spec
         .workloads
         .iter()
         .flat_map(|&w| spec.variants.iter().map(move |&v| (w, v)))
         .collect();
-    cache.run_batch(config, &jobs);
-    let names: Vec<&str> = spec.workloads.iter().map(|w| w.name).collect();
-    let direct = runner::doc_with_failures(
-        &spec.figure,
-        &spec.title(),
-        &Settings { config },
-        cache.runs_json(),
-        runner::failures_json_since(mark, &names),
-    )
-    .pretty()
-    .into_bytes();
+    cache.run_batch(&jobs);
+    let direct = cache
+        .doc(&spec.figure, &spec.title(), cache.runs_json())
+        .pretty()
+        .into_bytes();
 
     let served_stable = stable_prefix(&served);
     let direct_stable = stable_prefix(&direct);

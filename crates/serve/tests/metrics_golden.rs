@@ -159,7 +159,10 @@ fn metrics_exposition_is_valid_and_matches_golden() {
     server.shutdown();
 
     let path = golden_path();
-    if std::env::var("PSA_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+    let update = psa_experiments::RunnerOptions::from_env()
+        .expect("PSA_* variables parse")
+        .update_golden;
+    if update {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
         std::fs::write(&path, &normalised).expect("write golden");
         return;

@@ -153,8 +153,8 @@ pub struct RecoveryReport {
 /// Configuration for [`Store::open`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding the manifest and segments. Shared with legacy
-    /// flat `psa-*.ckpt` files, which the store never touches.
+    /// Directory holding the manifest and segments. Files the store does
+    /// not own are never read or touched.
     pub dir: PathBuf,
     /// Memory-tier budget in bytes.
     pub mem_cap_bytes: usize,
@@ -381,7 +381,7 @@ impl Store {
         // 3. Garbage-collect files the manifest does not reference:
         //    orphan segments (crash after compaction swap) and stale
         //    manifest staging files (torn manifest write). Foreign
-        //    files — legacy flat checkpoints — are never touched.
+        //    files are never touched.
         if gc_allowed {
             if let Ok(files) = retried(io.as_mut(), max, "list store dir", |io| io.list(&dir)) {
                 let referenced: std::collections::HashSet<u32> =

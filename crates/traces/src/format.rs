@@ -534,7 +534,11 @@ pub fn read_block(
     let payload_len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
     let nrecords = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
     let crc = u64::from_le_bytes(head[8..].try_into().expect("8 bytes"));
-    if payload_len == 0 || payload_len > MAX_BLOCK_BYTES || nrecords == 0 {
+    // `nrecords` sits outside the payload checksum, so bound it by the
+    // bytes that back it (every record takes at least one length byte)
+    // before it sizes an allocation.
+    if payload_len == 0 || payload_len > MAX_BLOCK_BYTES || nrecords == 0 || nrecords > payload_len
+    {
         return Err(TraceError::Corrupt("block shape"));
     }
     let mut payload = vec![0u8; payload_len as usize];

@@ -26,7 +26,7 @@
 //!
 //! Both front ends sit behind the [`source::WorkloadSource`] trait: the
 //! synthetic generator and a streamed replay of on-disk
-//! ChampSim-style traces ([`format`] is the `.psatrace` codec,
+//! ChampSim-style traces ([`mod@format`] is the `.psatrace` codec,
 //! [`reader`] the buffered replay cursor). [`source::WorkloadRef`] is
 //! the typed configuration-layer name for either kind — the simulator
 //! turns a ref into a live source at machine-build time, and trace refs

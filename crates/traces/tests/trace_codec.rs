@@ -338,6 +338,30 @@ fn header_count_disagreement_is_corrupt() {
     ));
 }
 
+/// A block's record count sits outside the payload checksum: a count of
+/// `0xFFFFFFFF` must be rejected by its bound before it sizes an
+/// allocation — a typed error from both the verifier and the reader.
+#[test]
+fn oversized_block_count_is_typed_not_an_abort() {
+    let tmp = TempTrace::new("nrecords");
+    record_workload(tmp.path(), "mcf", 7, 2_000);
+    let tref = TraceRef::open(tmp.path()).expect("verified before the damage");
+    let mut bytes = std::fs::read(&tmp.0).unwrap();
+    // The first block follows the header: 14 fixed bytes + name + 32.
+    let name_len = u16::from_le_bytes([bytes[12], bytes[13]]) as usize;
+    let count_at = 14 + name_len + 32 + 4;
+    bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&tmp.0, &bytes).unwrap();
+    assert!(matches!(
+        format::verify_file(tmp.path()),
+        Err(TraceError::Corrupt("block shape"))
+    ));
+    assert!(matches!(
+        TraceReader::open(&tref),
+        Err(TraceError::Corrupt("block shape"))
+    ));
+}
+
 #[test]
 fn pinned_open_rejects_foreign_hash() {
     let tmp = TempTrace::new("pin");

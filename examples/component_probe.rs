@@ -8,13 +8,11 @@
 use page_size_aware_prefetching::prelude::*;
 
 fn main() {
-    let cfg = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .apply(
-            SimConfig::default()
-                .with_warmup(40_000)
-                .with_instructions(120_000),
-        );
+    let cfg = RunnerOptions::from_env_or_exit().apply(
+        SimConfig::default()
+            .with_warmup(40_000)
+            .with_instructions(120_000),
+    );
     let cases: Vec<(&str, PatternMix)> = vec![
         (
             "stream-only",

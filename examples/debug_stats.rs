@@ -20,13 +20,11 @@ const SET: [&str; 8] = [
 ];
 
 fn main() {
-    let cfg = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .apply(
-            SimConfig::default()
-                .with_warmup(20_000)
-                .with_instructions(60_000),
-        );
+    let cfg = RunnerOptions::from_env_or_exit().apply(
+        SimConfig::default()
+            .with_warmup(20_000)
+            .with_instructions(60_000),
+    );
     let detail: Vec<String> = std::env::args().skip(1).collect();
     for name in SET {
         let w = catalog::workload(name).expect("in catalog");

@@ -19,13 +19,11 @@ fn main() {
         .map(|n| catalog::workload(n).unwrap_or_else(|| panic!("unknown workload '{n}'")))
         .collect();
 
-    let config = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .apply(
-            SimConfig::for_cores(4)
-                .with_warmup(20_000)
-                .with_instructions(60_000),
-        );
+    let config = RunnerOptions::from_env_or_exit().apply(
+        SimConfig::for_cores(4)
+            .with_warmup(20_000)
+            .with_instructions(60_000),
+    );
 
     println!("mix: {names:?}\n");
     let base =

@@ -9,13 +9,11 @@
 use page_size_aware_prefetching::prelude::*;
 
 fn main() {
-    let config = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .apply(
-            SimConfig::default()
-                .with_warmup(30_000)
-                .with_instructions(90_000),
-        );
+    let config = RunnerOptions::from_env_or_exit().apply(
+        SimConfig::default()
+            .with_warmup(30_000)
+            .with_instructions(90_000),
+    );
 
     let mut t = Table::new(vec![
         "benchmark".into(),

@@ -18,13 +18,11 @@ fn main() {
         std::process::exit(1);
     };
 
-    let config = RunnerOptions::from_env()
-        .expect("PSA_* variables parse")
-        .apply(
-            SimConfig::default()
-                .with_warmup(50_000)
-                .with_instructions(150_000),
-        );
+    let config = RunnerOptions::from_env_or_exit().apply(
+        SimConfig::default()
+            .with_warmup(50_000)
+            .with_instructions(150_000),
+    );
     println!("{}", config.table1());
 
     let baseline = System::baseline(config, workload).run();

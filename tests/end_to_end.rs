@@ -164,3 +164,35 @@ fn sd_module_reports_dueling_state() {
         "SD must classify accesses"
     );
 }
+
+/// The daemon reads the environment once, before it binds: a malformed
+/// `PSA_*` variable is a startup error naming the variable and the
+/// value (exit 2), never a server that drops every job later.
+#[test]
+fn psa_serve_rejects_a_malformed_environment_at_startup() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_psa_serve"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .env("PSA_THREADS", "banana")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("psa_serve starts");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("psa_serve waits").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("psa_serve kept running with PSA_THREADS=banana");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("psa_serve output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("PSA_THREADS") && stderr.contains("banana"),
+        "{stderr}"
+    );
+}
